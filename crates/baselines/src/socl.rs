@@ -77,8 +77,7 @@ impl SoclSystem {
     /// almost entirely, so reading one clock across both phases would
     /// under-report the wait a real SOCL client experiences.
     pub fn append_and_commit(&mut self, payloads: Vec<Vec<u8>>) -> Result<SoclOutcome, CoreError> {
-        let fees_before = self.node.stats().stage2_fees;
-        let commits_before = self.node.stats().stage2_latencies.len();
+        let before = self.node.stats();
         let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
         let operations = payloads.len() as u64;
         let outcome = self.publisher.append_batch(payloads)?;
@@ -114,17 +113,12 @@ impl SoclSystem {
         self.node.wait_stage2_idle(Duration::from_secs(3600))?;
         let stats = self.node.stats();
         // Mean flush→confirmation latency of the batches this run created.
-        let new_latencies = &stats.stage2_latencies[commits_before..];
-        let stage2_mean = if new_latencies.is_empty() {
-            Duration::ZERO
-        } else {
-            new_latencies.iter().sum::<Duration>() / new_latencies.len() as u32
-        };
+        let stage2_mean = stats.mean_stage2_latency_since(&before).unwrap_or_default();
         Ok(SoclOutcome {
             costs: CommitCosts {
                 bytes,
                 operations,
-                fees: stats.stage2_fees.saturating_sub(fees_before),
+                fees: stats.stage2_fees.saturating_sub(before.stage2_fees),
             },
             commit_latency: stage1_wall + stage2_mean,
             stage1_wall,

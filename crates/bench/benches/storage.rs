@@ -1,5 +1,8 @@
-//! Criterion benches for the storage engine: append throughput per sync
-//! policy (the durability ablation) and point-read latency.
+//! Criterion benches for the storage engine: append throughput at both
+//! ends of the group-commit window (the durability ablation) and
+//! point-read latency.
+
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use wedge_storage::{LogStore, StoreConfig, SyncPolicy};
@@ -15,15 +18,16 @@ fn bench_append_sync_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("append_1kb");
     group.throughput(Throughput::Bytes(record.len() as u64));
     group.sample_size(20);
-    for (name, sync) in [
-        ("never", SyncPolicy::Never),
-        ("on_rotate", SyncPolicy::OnRotate),
-        ("always", SyncPolicy::Always),
-    ] {
+    // A sync on every append vs. none until rotation: the two ends of the
+    // group-commit window.
+    for (name, max_batches) in [("every_append", 1), ("unbounded", usize::MAX)] {
         let store = LogStore::open(
             scratch(name),
             StoreConfig {
-                sync,
+                sync: SyncPolicy::GroupCommit {
+                    max_batches,
+                    max_delay: Duration::from_millis(2),
+                },
                 ..Default::default()
             },
         )

@@ -775,50 +775,25 @@ pub fn fault_tolerance(profile: Profile) -> Table {
     table
 }
 
-/// One persist-path configuration for the `stage1` experiment.
-struct PersistPathConfig {
-    label: &'static str,
-    sync: wedge_storage::SyncPolicy,
-    overlap: bool,
-    merkle_cutoff: usize,
-}
-
 /// Drives the node's persist+deliver stages directly against a
 /// [`wedge_storage::LogStore`] + 2-replica [`wedge_storage::Replicator`]:
-/// a producer thread hashes (Merkle), replicates, and appends batches while
-/// a consumer thread enforces the reply-release rule (`ensure_durable`) a
-/// couple of batches behind, exactly like the pipelined deliver stage.
-/// Returns (records/s, sync stats).
+/// a producer thread hashes (Merkle), starts replication, appends, and
+/// joins the replicas, while a consumer thread enforces the reply-release
+/// rule (`ensure_durable`) a couple of batches behind, exactly like the
+/// pipelined deliver stage. Returns (records/s, sync stats).
 fn run_persist_path(
     tag: &str,
     batch_size: usize,
     batches: usize,
-    cfg: &PersistPathConfig,
 ) -> (f64, wedge_storage::SyncStats) {
-    use wedge_storage::{LogStore, Replicator, StoreConfig, SyncPolicy};
+    use wedge_storage::{LogStore, Replicator, StoreConfig};
 
     let dir = std::env::temp_dir().join(format!("wedge-stage1-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(
-        LogStore::open(
-            dir.join("store"),
-            StoreConfig {
-                sync: cfg.sync,
-                ..Default::default()
-            },
-        )
-        .expect("open store"),
-    );
-    let replicator = Replicator::spawn(
-        &dir,
-        2,
-        StoreConfig {
-            sync: SyncPolicy::Never,
-            ..Default::default()
-        },
-        Duration::from_micros(200),
-    )
-    .expect("spawn replicas");
+    let store =
+        Arc::new(LogStore::open(dir.join("store"), StoreConfig::default()).expect("open store"));
+    let replicator = Replicator::spawn(&dir, 2, StoreConfig::default(), Duration::from_micros(200))
+        .expect("spawn replicas");
     let pool = wedge_pool::WorkPool::with_available_parallelism();
     let payloads = Arc::new(kv_payloads(batch_size, KEY_SIZE, VALUE_SIZE, 0x57a6e1));
     let total = batch_size * batches;
@@ -835,29 +810,17 @@ fn run_persist_path(
                 let tree = wedge_merkle::MerkleTree::from_leaves_parallel(
                     &payloads[..],
                     pool,
-                    cfg.merkle_cutoff,
+                    wedge_merkle::PARALLEL_CUTOFF,
                 )
                 .expect("non-empty batch");
                 std::hint::black_box(tree.root());
-                let first = if cfg.overlap {
-                    // Replicas chew on the batch while we pay the local
-                    // append (+ any covering fsync): cost = max, not sum.
-                    let handle = replicator.replicate_begin(Arc::clone(&payloads));
-                    let first = producer_store
-                        .append_batch(&payloads[..])
-                        .expect("append batch");
-                    handle.wait();
-                    first
-                } else {
-                    // Pre-PR shape: local persist, then replication, each
-                    // paid in full (including the per-batch clone the old
-                    // sequential path made for the replicas).
-                    let first = producer_store
-                        .append_batch(&payloads[..])
-                        .expect("append batch");
-                    replicator.replicate_sync((*payloads).clone());
-                    first
-                };
+                // Replicas chew on the batch while we pay the local append
+                // (+ any covering fsync): cost = max, not sum.
+                let handle = replicator.replicate_begin(Arc::clone(&payloads));
+                let first = producer_store
+                    .append_batch(&payloads[..])
+                    .expect("append batch");
+                handle.wait();
                 if release_tx.send(first + batch_size as u64 - 1).is_err() {
                     return;
                 }
@@ -875,20 +838,15 @@ fn run_persist_path(
     (total as f64 / elapsed, stats)
 }
 
-/// Extra (not in the paper): the stage-1 hardware-speed path introduced by
-/// this PR — parallel Merkle construction, replication overlapped with local
-/// durability, and fsync group-commit — measured two ways:
+/// Extra (not in the paper): the stage-1 hardware-speed path — parallel
+/// Merkle construction, replication overlapped with local durability, and
+/// fsync group-commit — measured two ways:
 ///
 /// * **persist path** rows drive the storage + replication layers directly
-///   (no signing, no chain) and compare the pre-PR durable configuration
-///   (fsync per batch, sequential replication, serial Merkle) against the
-///   PR's (group commit, overlapped replication, parallel Merkle);
-/// * **end-to-end** rows run the full node + publisher and compare the
-///   pre-PR pipeline shape (sequential replication, serial Merkle) against
-///   the PR's, plus a durable-replies variant under group commit.
+///   (no signing, no chain);
+/// * **end-to-end** rows run the full node + publisher with the default
+///   (durable, group-commit) store and two replicas.
 pub fn stage1(profile: Profile) -> Table {
-    use wedge_storage::SyncPolicy;
-
     let mut table = Table {
         title: "Stage-1 hardware-speed path (extension) — parallel Merkle, \
                 overlapped replication, fsync group-commit"
@@ -897,7 +855,6 @@ pub fn stage1(profile: Profile) -> Table {
             "scenario".into(),
             "batch".into(),
             "throughput (ops/s)".into(),
-            "vs pre-PR".into(),
             "fsyncs".into(),
             "coalesced".into(),
             "repl overlap (ms)".into(),
@@ -910,46 +867,16 @@ pub fn stage1(profile: Profile) -> Table {
 
     let batch_sizes = [256usize, 1000, 2000];
 
-    // --- Persist-path rows: durable stage-1, storage layer head-to-head.
-    let pre = PersistPathConfig {
-        label: "persist path — pre-PR (fsync/batch, sequential repl, serial merkle)",
-        sync: SyncPolicy::Always,
-        overlap: false,
-        merkle_cutoff: usize::MAX,
-    };
-    let post = PersistPathConfig {
-        label: "persist path — this PR (group commit, overlapped repl, parallel merkle)",
-        sync: SyncPolicy::GroupCommit {
-            max_batches: 4,
-            max_delay: Duration::from_millis(2),
-        },
-        overlap: true,
-        merkle_cutoff: 256,
-    };
+    // --- Persist-path rows: durable stage-1, storage layer alone.
     for &batch in &batch_sizes {
         let batches = profile.scale(64, 12);
-        let (pre_rate, pre_stats) = run_persist_path(&format!("pre-{batch}"), batch, batches, &pre);
-        let (post_rate, post_stats) =
-            run_persist_path(&format!("post-{batch}"), batch, batches, &post);
+        let (rate, stats) = run_persist_path(&format!("persist-{batch}"), batch, batches);
         table.rows.push(vec![
-            pre.label.into(),
+            "persist path (group commit, overlapped repl, parallel merkle)".into(),
             batch.to_string(),
-            format!("{pre_rate:.0}"),
-            "1.00×".into(),
-            pre_stats.fsyncs.to_string(),
-            pre_stats.fsyncs_coalesced.to_string(),
-            "—".into(),
-            "—".into(),
-            "—".into(),
-            "—".into(),
-        ]);
-        table.rows.push(vec![
-            post.label.into(),
-            batch.to_string(),
-            format!("{post_rate:.0}"),
-            format!("{:.2}×", post_rate / pre_rate.max(1e-9)),
-            post_stats.fsyncs.to_string(),
-            post_stats.fsyncs_coalesced.to_string(),
+            format!("{rate:.0}"),
+            stats.fsyncs.to_string(),
+            stats.fsyncs_coalesced.to_string(),
             "—".into(),
             "—".into(),
             "—".into(),
@@ -960,86 +887,47 @@ pub fn stage1(profile: Profile) -> Table {
     // --- End-to-end rows: full node + publisher, stage-1 throughput.
     for &batch in &batch_sizes {
         let n = profile.scale(batch * 10, (batch * 2).max(2000));
-        let mut pre_rate = 0.0;
-        for (label, overlap, cutoff, sync) in [
-            (
-                "end-to-end — pre-PR (sequential repl, serial merkle)",
-                false,
-                usize::MAX,
-                SyncPolicy::OnRotate,
-            ),
-            (
-                "end-to-end — this PR (overlapped repl, parallel merkle)",
-                true,
-                256usize,
-                SyncPolicy::OnRotate,
-            ),
-            (
-                "end-to-end — this PR + durable replies (group commit)",
-                true,
-                256,
-                SyncPolicy::GroupCommit {
-                    max_batches: 8,
-                    max_delay: Duration::from_millis(2),
-                },
-            ),
-        ] {
-            let config = NodeConfig {
-                batch_size: batch,
-                batch_linger: Duration::from_millis(30),
-                verify_requests: false,
-                replicas: 2,
-                overlap_replication: overlap,
-                merkle_parallel_cutoff: cutoff,
-                store: wedge_storage::StoreConfig {
-                    sync,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            // Best-of-N: a shared box makes single runs noisy; the best run
-            // is the least-perturbed measurement of the pipeline itself.
-            let repeats = profile.scale(3, 2);
-            let mut rate = 0.0;
-            let mut stats = None;
-            let mut x4_groups = 0u64;
-            for rep in 0..repeats {
-                // The crypto hash counters are process-wide; snapshot before
-                // the run so the table shows this run's ×4 groups only.
-                let x4_before = wedge_crypto::hash::hash_batches_x4();
-                let mut world = World::new(
-                    &format!("stage1-{batch}-{rep}-{label}"),
-                    config.clone(),
-                    2000.0,
-                );
-                let payloads = kv_payloads(n, KEY_SIZE, VALUE_SIZE, 0x57a6e2);
-                let outcome = world.publisher.append_batch(payloads).expect("append");
-                world.settle();
-                let elapsed = outcome.last_response.as_secs_f64().max(1e-9);
-                let rep_rate = n as f64 / elapsed;
-                if rep_rate > rate {
-                    rate = rep_rate;
-                    stats = Some(world.node.stats());
-                    x4_groups = wedge_crypto::hash::hash_batches_x4() - x4_before;
-                }
+        let config = NodeConfig {
+            batch_size: batch,
+            batch_linger: Duration::from_millis(30),
+            verify_requests: false,
+            replicas: 2,
+            ..Default::default()
+        };
+        // Best-of-N: a shared box makes single runs noisy; the best run
+        // is the least-perturbed measurement of the pipeline itself.
+        let repeats = profile.scale(3, 2);
+        let mut rate = 0.0;
+        let mut stats = None;
+        let mut x4_groups = 0u64;
+        for rep in 0..repeats {
+            // The crypto hash counters are process-wide; snapshot before
+            // the run so the table shows this run's ×4 groups only.
+            let x4_before = wedge_crypto::hash::hash_batches_x4();
+            let mut world = World::new(&format!("stage1-{batch}-{rep}"), config.clone(), 2000.0);
+            let payloads = kv_payloads(n, KEY_SIZE, VALUE_SIZE, 0x57a6e2);
+            let outcome = world.publisher.append_batch(payloads).expect("append");
+            world.settle();
+            let elapsed = outcome.last_response.as_secs_f64().max(1e-9);
+            let rep_rate = n as f64 / elapsed;
+            if rep_rate > rate {
+                rate = rep_rate;
+                stats = Some(world.node.stats());
+                x4_groups = wedge_crypto::hash::hash_batches_x4() - x4_before;
             }
-            let stats = stats.expect("at least one repeat");
-            if pre_rate == 0.0 {
-                pre_rate = rate;
-            }
-            table.rows.push(vec![
-                label.into(),
-                batch.to_string(),
-                format!("{rate:.0}"),
-                format!("{:.2}×", rate / pre_rate.max(1e-9)),
-                "—".into(),
-                stats.fsyncs_coalesced.to_string(),
-                format!("{:.2}", stats.replication_overlap_ns as f64 / 1e6),
-                stats.merkle_par_chunks.to_string(),
-                format!("{:.2}", stats.merkle_hash_ns as f64 / 1e6),
-                x4_groups.to_string(),
-            ]);
         }
+        let stats = stats.expect("at least one repeat");
+        table.rows.push(vec![
+            "end-to-end (durable replies, group commit)".into(),
+            batch.to_string(),
+            format!("{rate:.0}"),
+            stats.fsyncs.to_string(),
+            stats.fsyncs_coalesced.to_string(),
+            format!("{:.2}", stats.replication_overlap_ns as f64 / 1e6),
+            stats.merkle_par_chunks.to_string(),
+            format!("{:.2}", stats.merkle_hash_ns as f64 / 1e6),
+            x4_groups.to_string(),
+        ]);
     }
     table
 }
@@ -1530,26 +1418,18 @@ fn run_net_clients(
     (append_wall, read_wall, merged)
 }
 
-/// Extra (not in the paper): the wire-speed RPC plane, old path vs new
-/// path in the same run. Both servers front the **same** node; only the
-/// transport differs:
-///
-/// * **old** — pre-PR wire shape: one reply per write (`coalesce = 1`),
-///   no frame-buffer pooling, every client sharing one `RemoteNode` whose
-///   appends flush per submission;
-/// * **new** — this PR: coalescing writers draining bounded reply queues
-///   into pooled buffers, and a striped [`wedge_net::RemoteNodePool`]
-///   client with buffered per-burst flushes.
+/// Extra (not in the paper): the wire-speed RPC plane. A default
+/// [`wedge_net::NodeServer`] (coalescing writers draining bounded reply
+/// queues into pooled buffers) fronts the node, and a striped
+/// [`wedge_net::RemoteNodePool`] client flushes once per burst.
 pub fn net(profile: Profile) -> Table {
-    use wedge_net::{NodeServer, PoolConfig, RemoteNode, RemoteNodePool, ServerConfig};
+    use wedge_net::{NodeServer, PoolConfig, RemoteNodePool};
 
     let mut table = Table {
-        title: "RPC plane (extension) — coalescing writers + striped client vs pre-PR wire path"
-            .into(),
+        title: "RPC plane (extension) — coalescing writers + striped client".into(),
         headers: vec![
             "clients".into(),
             "payload (B)".into(),
-            "path".into(),
             "append ops/s".into(),
             "append p50".into(),
             "append p99".into(),
@@ -1575,44 +1455,11 @@ pub fn net(profile: Profile) -> Table {
                 ..Default::default()
             };
             let world = World::new(&format!("net-{clients}-{value_size}"), config, 2000.0);
-            let node = Arc::clone(&world.node);
-
-            // Old wire shape: per-reply writes, no buffer pool, one shared
-            // connection with per-submit flushes.
-            let old_server = NodeServer::bind_with_config(
-                "127.0.0.1:0",
-                Arc::clone(&node) as _,
-                ServerConfig {
-                    coalesce_max_replies: 1,
-                    pool_max_buffers: 0,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind old-path server");
-            let old_client: Arc<dyn wedge_core::LogService> =
-                Arc::new(RemoteNode::connect(old_server.local_addr()).expect("connect old"));
-            let (old_aw, old_rw, old_samples) = run_net_clients(
-                &old_client,
-                &format!("old-{clients}-{value_size}"),
-                clients,
-                appends,
-                reads,
-                value_size,
-            );
-            drop(old_client);
-            let old_stats = old_server.stats();
-
-            // New wire shape: defaults (coalescing + pooling) and a striped
-            // client pool with buffered appends.
-            let new_server = NodeServer::bind_with_config(
-                "127.0.0.1:0",
-                Arc::clone(&node) as _,
-                ServerConfig::default(),
-            )
-            .expect("bind new-path server");
-            let new_client: Arc<dyn wedge_core::LogService> = Arc::new(
+            let server =
+                NodeServer::bind("127.0.0.1:0", Arc::clone(&world.node) as _).expect("bind server");
+            let client: Arc<dyn wedge_core::LogService> = Arc::new(
                 RemoteNodePool::connect_with_config(
-                    new_server.local_addr(),
+                    server.local_addr(),
                     PoolConfig {
                         stripes: clients.min(8),
                         ..PoolConfig::default()
@@ -1620,42 +1467,36 @@ pub fn net(profile: Profile) -> Table {
                 )
                 .expect("connect pool"),
             );
-            let (new_aw, new_rw, new_samples) = run_net_clients(
-                &new_client,
-                &format!("new-{clients}-{value_size}"),
+            let (aw, rw, samples) = run_net_clients(
+                &client,
+                &format!("{clients}-{value_size}"),
                 clients,
                 appends,
                 reads,
                 value_size,
             );
-            drop(new_client);
-            let new_stats = new_server.stats();
+            drop(client);
+            let stats = server.stats();
 
             let total_ops = (appends * clients) as f64;
             let total_reads = (reads * clients) as f64;
-            for (path, aw, rw, samples, stats) in [
-                ("old", old_aw, old_rw, &old_samples, &old_stats),
-                ("new", new_aw, new_rw, &new_samples, &new_stats),
-            ] {
-                table.rows.push(vec![
-                    clients.to_string(),
-                    value_size.to_string(),
-                    path.into(),
-                    format!("{:.0}", total_ops / aw.as_secs_f64().max(1e-9)),
-                    fmt_us(percentile(&samples.append, 0.50)),
-                    fmt_us(percentile(&samples.append, 0.99)),
-                    format!("{:.0}", total_reads / rw.as_secs_f64().max(1e-9)),
-                    fmt_us(percentile(&samples.read, 0.50)),
-                    fmt_us(percentile(&samples.read, 0.99)),
-                    format!(
-                        "{:.2}",
-                        stats.replies_sent as f64 / stats.writes_issued.max(1) as f64
-                    ),
-                    stats.replies_coalesced.to_string(),
-                    format!("{:.0}%", stats.buffer_pool_hit_rate() * 100.0),
-                    stats.queue_shed.to_string(),
-                ]);
-            }
+            table.rows.push(vec![
+                clients.to_string(),
+                value_size.to_string(),
+                format!("{:.0}", total_ops / aw.as_secs_f64().max(1e-9)),
+                fmt_us(percentile(&samples.append, 0.50)),
+                fmt_us(percentile(&samples.append, 0.99)),
+                format!("{:.0}", total_reads / rw.as_secs_f64().max(1e-9)),
+                fmt_us(percentile(&samples.read, 0.50)),
+                fmt_us(percentile(&samples.read, 0.99)),
+                format!(
+                    "{:.2}",
+                    stats.replies_sent as f64 / stats.writes_issued.max(1) as f64
+                ),
+                stats.replies_coalesced.to_string(),
+                format!("{:.0}%", stats.buffer_pool_hit_rate() * 100.0),
+                stats.queue_shed.to_string(),
+            ]);
         }
     }
     table
@@ -1714,14 +1555,13 @@ const TIER_PAYLOAD: usize = 64 * 1024;
 /// while every segment is hot, seal everything below the tail, scan again.
 /// Returns (hot MB/s, cold MB/s, cold segment count).
 fn tier_scan_rates(tag: &str, total_bytes: u64) -> (f64, f64, u64) {
-    use wedge_storage::{LogStore, StoreConfig, SyncPolicy};
+    use wedge_storage::{LogStore, StoreConfig};
     let dir = std::env::temp_dir().join(format!("wedge-tiers-scan-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = LogStore::open(
         &dir,
         StoreConfig {
             max_segment_bytes: 4 * 1024 * 1024,
-            sync: SyncPolicy::OnRotate,
             ..Default::default()
         },
     )

@@ -45,16 +45,22 @@ impl ReceiptStore {
         })
     }
 
-    /// Persists one response; returns its receipt id.
+    /// Persists one response and returns its receipt id once it is on
+    /// stable storage.
     pub fn save(&self, response: &SignedResponse) -> Result<u64, CoreError> {
-        Ok(self.store.append(&response.to_bytes())?)
+        let id = self.store.append(&response.to_bytes())?;
+        self.store.ensure_durable(id)?;
+        Ok(id)
     }
 
-    /// Persists a batch of responses (one fsync window).
+    /// Persists a batch of responses and returns once all of them are on
+    /// stable storage (one fsync window).
     pub fn save_all(&self, responses: &[SignedResponse]) -> Result<(), CoreError> {
         let encoded: Vec<Vec<u8>> = responses.iter().map(|r| r.to_bytes()).collect();
         if !encoded.is_empty() {
-            self.store.append_batch(&encoded)?;
+            let first = self.store.append_batch(&encoded)?;
+            self.store
+                .ensure_durable(first + encoded.len() as u64 - 1)?;
         }
         Ok(())
     }
@@ -148,6 +154,8 @@ mod tests {
         let store = ReceiptStore::open(&dir).unwrap();
         let responses: Vec<SignedResponse> = (0..5).map(response).collect();
         store.save_all(&responses).unwrap();
+        // Durable on return: the one append was covered by an fsync.
+        assert_eq!(store.store.sync_stats().fsyncs, 1);
         assert_eq!(store.len(), 5);
         assert_eq!(store.pending_count(), 5);
         // Verify the first three.
@@ -183,6 +191,7 @@ mod tests {
         let dir = scratch("clamp");
         let store = ReceiptStore::open(&dir).unwrap();
         store.save(&response(0)).unwrap();
+        assert_eq!(store.store.sync_stats().fsyncs, 1);
         store.mark_verified(99).unwrap();
         assert_eq!(store.verified_watermark(), 1);
         assert_eq!(store.pending_count(), 0);

@@ -183,18 +183,10 @@ pub struct NodeConfig {
     pub replicas: usize,
     /// Per-batch link delay towards each replica.
     pub replica_link_delay: Duration,
-    /// Start replica sends *before* the local `append_batch` + fsync and
-    /// join both afterwards, so the persist stage pays
-    /// max(local, replication) instead of the sum. Disable to reproduce the
-    /// sequential (pre-overlap) persist stage.
-    pub overlap_replication: bool,
-    /// Leaf/level count at or above which Merkle construction uses the
-    /// shared work pool; below it the serial builder wins on thread-spawn
-    /// overhead. `usize::MAX` forces the serial builder.
-    pub merkle_parallel_cutoff: usize,
     /// Tiered-storage and checkpoint policy.
     pub tier: TierConfig,
-    /// Storage engine settings.
+    /// Storage engine settings. The default group-commit policy is what
+    /// makes every stage-1 reply durable before it is sent.
     pub store: StoreConfig,
 }
 
@@ -216,8 +208,6 @@ impl Default for NodeConfig {
             response_latency: LatencyModel::Zero,
             replicas: 0,
             replica_link_delay: Duration::from_micros(200),
-            overlap_replication: true,
-            merkle_parallel_cutoff: 256,
             tier: TierConfig::default(),
             store: StoreConfig::default(),
         }

@@ -9,13 +9,12 @@
 //! 1. **collect** — batch requests, verify publisher signatures
 //!    (parallel), reject invalid ones;
 //! 2. **persist** — build the batch's Merkle tree (parallel above
-//!    [`crate::NodeConfig::merkle_parallel_cutoff`]), kick off the replica
-//!    fan-out, persist header + leaves to the local store (link #2 of
-//!    Figure 2) while the replicas work, then join both — the stage pays
+//!    [`wedge_merkle::PARALLEL_CUTOFF`]), kick off the replica fan-out,
+//!    persist header + leaves to the local store (link #2 of Figure 2)
+//!    while the replicas work, then join both — the stage pays
 //!    max(local, replication) instead of the sum;
 //! 3. **deliver** — sign one response per request (parallel), wait for the
-//!    fsync covering the batch (instant except under
-//!    [`wedge_storage::SyncPolicy::GroupCommit`]), register the batch in
+//!    group-commit fsync covering the batch, register the batch in
 //!    the write plane (publishing a new read snapshot), deliver the
 //!    replies (completing link #1 — stage-1 / off-chain commitment), and
 //!    hand the `(log_id, MRoot)` pair to the stage-2 committer (link #3).
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use wedge_merkle::MerkleTree;
+use wedge_merkle::{MerkleTree, PARALLEL_CUTOFF};
 
 use crate::config::NodeBehavior;
 use crate::types::{EntryId, SignedResponse};
@@ -178,13 +177,12 @@ fn persist_stage(
     // state. Registration (deliver stage) trails this counter by at most
     // the pipeline depth.
     let mut next_log_id = shared.snapshot().batches.len() as u64;
-    let cutoff = shared.config.merkle_parallel_cutoff;
     while let Ok(VerifiedBatch { msgs, leaves }) = persist_rx.recv() {
         // `msgs` was checked non-empty by the collect stage, the only
         // failure mode of the builder.
         let merkle_start = std::time::Instant::now();
         let (tree, par_chunks) =
-            MerkleTree::from_leaves_parallel_counted(&leaves, &shared.pool, cutoff)
+            MerkleTree::from_leaves_parallel_counted(&leaves, &shared.pool, PARALLEL_CUTOFF)
                 // lint: allow(panic) — non-empty batch invariant upheld upstream
                 .expect("non-empty batch");
         let merkle_elapsed = merkle_start.elapsed();
@@ -202,13 +200,10 @@ fn persist_stage(
         // append then fail, the replicas hold a superset of the primary
         // log; they are crash-recovery copies, not the ground truth, so a
         // never-acknowledged batch on a replica is harmless.
-        let overlapping = shared.config.overlap_replication && shared.replicator.is_some();
-        let handle = match &shared.replicator {
-            Some(replicator) if overlapping => {
-                Some(replicator.replicate_begin(Arc::clone(&records)))
-            }
-            _ => None,
-        };
+        let replication = shared
+            .replicator
+            .as_ref()
+            .map(|replicator| (replicator, replicator.replicate_begin(Arc::clone(&records))));
         let local_start = std::time::Instant::now();
         let append_result = shared.store.append_batch(&records[..]);
         let local_elapsed = local_start.elapsed();
@@ -218,14 +213,8 @@ fn persist_stage(
                 next_log_id += 1;
                 // Replicate before acknowledging (the paper's
                 // stronger-liveness configuration waits for replica acks).
-                if let Some(replicator) = &shared.replicator {
-                    let acked = match handle {
-                        Some(handle) => handle.wait(),
-                        // Sequential (pre-overlap) path, kept selectable for
-                        // honest before/after benchmarking.
-                        None => replicator.replicate_begin(Arc::clone(&records)).wait(),
-                    };
-                    if acked < replicator.replica_count() {
+                if let Some((replicator, handle)) = replication {
+                    if handle.wait() < replicator.replica_count() {
                         shared.stats.lock().replication_shortfalls += 1;
                     }
                 }
@@ -251,7 +240,7 @@ fn persist_stage(
             let mut stats = shared.stats.lock();
             stats.merkle_par_chunks += par_chunks;
             stats.merkle_hash_ns += merkle_elapsed.as_nanos() as u64;
-            if overlapping {
+            if shared.replicator.is_some() {
                 // Local persistence time that ran concurrently with the
                 // in-flight replica sends.
                 stats.replication_overlap_ns += local_elapsed.as_nanos() as u64;
@@ -345,8 +334,7 @@ fn deliver_stage(
         // Group-commit reply-release rule: no reply (and no snapshot
         // registration) may be released before the fsync covering the
         // batch's records completed. Signing above already overlapped the
-        // wait; every policy except `GroupCommit` returns immediately
-        // because the persist stage provided its durability inline.
+        // wait.
         let last_record = first_record + batch.len() as u64 - 1;
         let durable = shared.store.ensure_durable(last_record);
 

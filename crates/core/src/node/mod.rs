@@ -514,11 +514,13 @@ impl OffchainNode {
     }
 
     /// Snapshot of the node's metrics. The store-, pool- and hash-derived
-    /// counters (`fsyncs_coalesced`, `oversubscription_avoided`,
+    /// counters (`fsyncs`, `fsyncs_coalesced`, `oversubscription_avoided`,
     /// `hashes_computed`, `hash_batches_x4`) are sampled at call time.
     pub fn stats(&self) -> NodeStats {
         let mut stats = self.shared.stats.lock().clone();
-        stats.fsyncs_coalesced = self.shared.store.sync_stats().fsyncs_coalesced;
+        let sync = self.shared.store.sync_stats();
+        stats.fsyncs = sync.fsyncs;
+        stats.fsyncs_coalesced = sync.fsyncs_coalesced;
         stats.oversubscription_avoided = wedge_pool::oversubscription_avoided();
         stats.hashes_computed = wedge_crypto::hash::hashes_computed();
         stats.hash_batches_x4 = wedge_crypto::hash::hash_batches_x4();

@@ -321,9 +321,7 @@ impl Committer<'_> {
                 stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
             }
             for task in &tasks {
-                stats
-                    .stage2_latencies
-                    .push(committed_at.since(task.stage1_done));
+                stats.record_stage2_latency(committed_at.since(task.stage1_done));
             }
         }
         self.shared

@@ -38,8 +38,12 @@ pub struct NodeStats {
     /// Per-attempt backoff histogram: `stage2_backoff_hist[k]` counts the
     /// retries scheduled after attempt `k + 1` failed.
     pub stage2_backoff_hist: Vec<u64>,
-    /// Per-position simulated stage-1→stage-2 latencies.
-    pub stage2_latencies: Vec<Duration>,
+    /// Sum of the simulated stage-1→stage-2 latencies of the positions the
+    /// node's own committer confirmed.
+    pub stage2_latency_total: Duration,
+    /// Positions summed into `stage2_latency_total`. Not `stage2_committed`:
+    /// epoch-mode commits count there but carry no latency.
+    pub stage2_latency_samples: u64,
     /// Total gas spent on stage-2 commitments.
     pub stage2_gas: Gas,
     /// Total fees spent on stage-2 commitments.
@@ -57,17 +61,19 @@ pub struct NodeStats {
     pub pipeline_stalls: u64,
     /// Parallel chunks dispatched while building batch Merkle trees
     /// (0 ⇒ every tree was built serially, e.g. below
-    /// [`crate::NodeConfig::merkle_parallel_cutoff`] or on a single-core
+    /// [`wedge_merkle::PARALLEL_CUTOFF`] leaves or on a single-core
     /// machine).
     pub merkle_par_chunks: u64,
-    /// Batches whose durability rode a neighbouring batch's fsync under
-    /// [`wedge_storage::SyncPolicy::GroupCommit`] instead of paying their
-    /// own (sampled from the store when stats are read).
+    /// `sync_data` calls the local store issued (sampled from the store
+    /// when stats are read).
+    pub fsyncs: u64,
+    /// Batches whose durability rode a neighbouring batch's group-commit
+    /// fsync instead of paying their own (sampled from the store when
+    /// stats are read).
     pub fsyncs_coalesced: u64,
     /// Nanoseconds of local persistence (Merkle + `append_batch` + fsync)
     /// that ran while replica sends were already in flight — the persist
-    /// stage's overlap win. 0 when `overlap_replication` is off or there
-    /// are no replicas.
+    /// stage's overlap win. 0 when there are no replicas.
     pub replication_overlap_ns: u64,
     /// Worker threads *not* spawned because the shared pool caps
     /// parallelism at the machine's core count (process-wide, sampled from
@@ -118,13 +124,30 @@ impl NodeStats {
         self.stage2_backoff_hist[idx] = self.stage2_backoff_hist[idx].saturating_add(1);
     }
 
+    /// Adds one committed position's stage-1→stage-2 latency.
+    pub(crate) fn record_stage2_latency(&mut self, latency: Duration) {
+        self.stage2_latency_total = self.stage2_latency_total.saturating_add(latency);
+        self.stage2_latency_samples += 1;
+    }
+
     /// Mean stage-2 latency (simulated), if any commitments completed.
     pub fn mean_stage2_latency(&self) -> Option<Duration> {
-        if self.stage2_latencies.is_empty() {
-            return None;
-        }
-        let total: Duration = self.stage2_latencies.iter().sum();
-        Some(total / self.stage2_latencies.len() as u32)
+        self.mean_stage2_latency_since(&NodeStats::default())
+    }
+
+    /// Mean stage-2 latency of the positions committed after `earlier`
+    /// was sampled from the same node, if any.
+    pub fn mean_stage2_latency_since(&self, earlier: &NodeStats) -> Option<Duration> {
+        let samples = self
+            .stage2_latency_samples
+            .checked_sub(earlier.stage2_latency_samples)
+            .filter(|&n| n > 0)?;
+        let total = self
+            .stage2_latency_total
+            .saturating_sub(earlier.stage2_latency_total);
+        Some(Duration::from_nanos(
+            (total.as_nanos() / u128::from(samples)) as u64,
+        ))
     }
 
     /// On-chain cost per ingested operation, in wei.
@@ -145,8 +168,15 @@ mod tests {
         let mut s = NodeStats::default();
         assert!(s.mean_stage2_latency().is_none());
         assert_eq!(s.cost_per_op(), Wei::ZERO);
-        s.stage2_latencies = vec![Duration::from_secs(40), Duration::from_secs(46)];
+        s.record_stage2_latency(Duration::from_secs(40));
+        let earlier = s.clone();
+        s.record_stage2_latency(Duration::from_secs(46));
         assert_eq!(s.mean_stage2_latency(), Some(Duration::from_secs(43)));
+        assert_eq!(
+            s.mean_stage2_latency_since(&earlier),
+            Some(Duration::from_secs(46))
+        );
+        assert!(s.mean_stage2_latency_since(&s).is_none());
         s.entries_ingested = 1000;
         s.stage2_fees = Wei(5_000_000);
         assert_eq!(s.cost_per_op(), Wei(5_000));

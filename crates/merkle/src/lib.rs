@@ -33,7 +33,7 @@ pub use builder::TreeBuilder;
 pub use composed::ComposedProof;
 pub use multiproof::RangeProof;
 pub use proof::{MerkleProof, ProofNode, Side};
-pub use tree::{hash_leaf, hash_leaves, hash_node, hash_node_x4, MerkleTree};
+pub use tree::{hash_leaf, hash_leaves, hash_node, hash_node_x4, MerkleTree, PARALLEL_CUTOFF};
 
 use wedge_crypto::hash::Hash32;
 

@@ -91,6 +91,10 @@ pub(crate) fn fold_pairs(nodes: &[Hash32]) -> Vec<Hash32> {
     out
 }
 
+/// Leaf/level count at or above which Merkle construction uses the work
+/// pool; below it the serial builder wins on dispatch overhead.
+pub const PARALLEL_CUTOFF: usize = 256;
+
 /// An immutable Merkle tree with all levels retained.
 #[derive(Clone, Debug)]
 pub struct MerkleTree {
@@ -137,7 +141,8 @@ impl MerkleTree {
     /// Produces a tree **bit-identical** to [`MerkleTree::from_leaves`]:
     /// same levels, same odd-node promotion, same root, same proofs. The
     /// cutoff exists because below a few hundred nodes the serial builder
-    /// wins; `usize::MAX` forces the serial path through the same API.
+    /// wins; production passes [`PARALLEL_CUTOFF`], and tests pass other
+    /// values to drive either path on small trees.
     pub fn from_leaves_parallel<D: AsRef<[u8]> + Sync>(
         leaves: &[D],
         pool: &wedge_pool::WorkPool,

@@ -141,13 +141,6 @@ impl Replicator {
         ReplicationHandle { acks }
     }
 
-    /// Ships a batch to every replica and waits for all acknowledgements.
-    ///
-    /// Returns the number of replicas that confirmed the write.
-    pub fn replicate_sync(&self, batch: Vec<Vec<u8>>) -> usize {
-        self.replicate_begin(Arc::new(batch)).wait()
-    }
-
     /// Ships a batch without waiting for acknowledgements (lazy fan-out).
     pub fn replicate_async(&self, batch: Vec<Vec<u8>>) {
         let batch: Batch = Arc::new(batch);
@@ -166,7 +159,7 @@ impl Replicator {
     }
 
     /// Fault injection: stops replica `idx`'s thread (it stops acking).
-    /// Subsequent `replicate_sync` calls report the shortfall.
+    /// Subsequent [`ReplicationHandle::wait`] calls report the shortfall.
     pub fn stop_replica(&self, idx: usize) {
         if let Some(replica) = self.replicas.get(idx) {
             let _ = replica.commands.send(Command::Shutdown);
@@ -206,7 +199,9 @@ mod tests {
     fn sync_replication_acks_all() {
         let dir = tempdir("sync");
         let repl = Replicator::spawn(&dir, 2, StoreConfig::default(), Duration::ZERO).unwrap();
-        let acked = repl.replicate_sync(vec![b"r0".to_vec(), b"r1".to_vec()]);
+        let acked = repl
+            .replicate_begin(Arc::new(vec![b"r0".to_vec(), b"r1".to_vec()]))
+            .wait();
         assert_eq!(acked, 2);
         drop(repl);
         // Each replica persisted the batch.
@@ -253,7 +248,10 @@ mod tests {
     fn zero_replicas_is_noop() {
         let repl =
             Replicator::spawn(tempdir("zero"), 0, StoreConfig::default(), Duration::ZERO).unwrap();
-        assert_eq!(repl.replicate_sync(vec![b"x".to_vec()]), 0);
+        assert_eq!(
+            repl.replicate_begin(Arc::new(vec![b"x".to_vec()])).wait(),
+            0
+        );
         assert_eq!(repl.replica_count(), 0);
     }
 
@@ -263,7 +261,7 @@ mod tests {
         let repl = Replicator::spawn(&dir, 1, StoreConfig::default(), Duration::ZERO).unwrap();
         for b in 0..5u32 {
             let batch = (0..3).map(|i| format!("b{b}-{i}").into_bytes()).collect();
-            assert_eq!(repl.replicate_sync(batch), 1);
+            assert_eq!(repl.replicate_begin(Arc::new(batch)).wait(), 1);
         }
         drop(repl);
         let store = LogStore::open(dir.join("replica-0"), StoreConfig::default()).unwrap();

@@ -38,10 +38,6 @@ pub struct SegmentWriter {
     file: BufWriter<File>,
     /// Bytes written (including framing).
     len: u64,
-    /// True while appended bytes may still sit in the `BufWriter` — cleared
-    /// by [`SegmentWriter::flush`]/[`SegmentWriter::sync`]. Lets readers of
-    /// the active segment skip redundant flushes.
-    dirty: bool,
 }
 
 impl SegmentWriter {
@@ -56,7 +52,6 @@ impl SegmentWriter {
             id,
             file: BufWriter::new(file),
             len: 0,
-            dirty: false,
         })
     }
 
@@ -71,7 +66,6 @@ impl SegmentWriter {
             id,
             file: BufWriter::new(file),
             len: offset,
-            dirty: false,
         })
     }
 
@@ -92,14 +86,12 @@ impl SegmentWriter {
         self.file.write_all(&header)?;
         self.file.write_all(payload)?;
         self.len += (HEADER_LEN + payload.len()) as u64;
-        self.dirty = true;
         Ok(offset)
     }
 
     /// Flushes buffered writes to the OS.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.file.flush()?;
-        self.dirty = false;
         Ok(())
     }
 
@@ -107,13 +99,7 @@ impl SegmentWriter {
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.file.flush()?;
         self.file.get_ref().sync_data()?;
-        self.dirty = false;
         Ok(())
-    }
-
-    /// True while appended bytes may still sit in the writer's buffer.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// Segment id.
@@ -314,21 +300,6 @@ mod tests {
         w.flush().unwrap();
         let on_disk = std::fs::read(segment_path(&dir, 0)).unwrap();
         assert_eq!(on_disk, expect);
-    }
-
-    #[test]
-    fn dirty_tracks_buffered_appends() {
-        let dir = tempdir();
-        let mut w = SegmentWriter::create(&dir, 0).unwrap();
-        assert!(!w.is_dirty());
-        w.append(b"data").unwrap();
-        assert!(w.is_dirty());
-        w.flush().unwrap();
-        assert!(!w.is_dirty());
-        w.append(b"more").unwrap();
-        assert!(w.is_dirty());
-        w.sync().unwrap();
-        assert!(!w.is_dirty());
     }
 
     #[test]

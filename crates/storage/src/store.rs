@@ -43,20 +43,21 @@ use crate::sidecar::{
     write_index_sidecar, SegmentHint,
 };
 
-/// When appended records are made durable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// When appended records are made durable: group commit, the one policy.
+///
+/// Every append is flushed to the OS before its sequence number is
+/// published, so a reader never needs the tail lock. The fsyncs of
+/// pipeline-adjacent appends are coalesced into one `sync_data`: a sync is
+/// triggered inline once `max_batches` appends are pending, and
+/// [`LogStore::ensure_durable`] bounds the wait at `max_delay`. Callers
+/// must hold replies until it returns (reply ⇒ durable).
+///
+/// `max_batches: 1` syncs every append inline, so `ensure_durable` returns
+/// at once. A caller that never calls `ensure_durable` gets durability at
+/// every `max_batches`-th append, at rotation, and on [`LogStore::sync`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncPolicy {
-    /// fsync after every append (safest, slowest).
-    Always,
-    /// Flush to the OS after every append, fsync only on rotation/close.
-    #[default]
-    OnRotate,
-    /// Group commit: flush to the OS after every append, but coalesce the
-    /// fsyncs of pipeline-adjacent batches into one `sync_data`. A sync is
-    /// triggered once `max_batches` appends are pending, and
-    /// [`LogStore::ensure_durable`] bounds the wait at `max_delay` — callers
-    /// must hold replies until it returns, which restores the `Always`
-    /// guarantee (reply ⇒ durable) at a fraction of the fsyncs.
+    /// Coalesce the fsyncs of up to `max_batches` appends.
     GroupCommit {
         /// Pending appends that trigger a sync inline.
         max_batches: usize,
@@ -64,8 +65,15 @@ pub enum SyncPolicy {
         /// hoping for more batches to share it.
         max_delay: Duration,
     },
-    /// Leave flushing to the OS entirely (fastest; loses the tail on crash).
-    Never,
+}
+
+impl Default for SyncPolicy {
+    fn default() -> Self {
+        SyncPolicy::GroupCommit {
+            max_batches: 8,
+            max_delay: Duration::from_millis(2),
+        }
+    }
 }
 
 /// Configuration for a [`LogStore`].
@@ -84,7 +92,7 @@ impl Default for StoreConfig {
         StoreConfig {
             max_segment_bytes: 64 * 1024 * 1024,
             max_record_bytes: 16 * 1024 * 1024,
-            sync: SyncPolicy::OnRotate,
+            sync: SyncPolicy::default(),
         }
     }
 }
@@ -163,8 +171,7 @@ struct Tail {
     writer: SegmentWriter,
 }
 
-/// Group-commit bookkeeping (only consulted under
-/// [`SyncPolicy::GroupCommit`]). Lock order: this mutex is innermost —
+/// Group-commit bookkeeping. Lock order: this mutex is innermost —
 /// it is taken while holding the tail and/or tiers locks, and never the
 /// other way around.
 struct GroupState {
@@ -186,13 +193,6 @@ pub struct SyncStats {
     /// of paying their own (each sync covering `k` pending appends counts
     /// `k - 1` here).
     pub fsyncs_coalesced: u64,
-    /// Tail flushes performed on the read path (kept low by the
-    /// dirty-flag check in [`LogStore::read`]).
-    pub read_tail_flushes: u64,
-    /// Times the read path acquired the tail mutex. Reads of sealed or
-    /// cold records never do; a `read_range`/`iter` chunk pays at most one
-    /// acquisition per call.
-    pub read_tail_locks: u64,
 }
 
 /// Work done by [`LogStore::open`] to recover the index — the observable
@@ -241,7 +241,7 @@ pub struct LogStore {
     tiers: RwLock<Tiers>,
     tail: Mutex<Tail>,
     /// Mirror of `tail.writer.id()`, updated under the tail lock — lets
-    /// reads of non-tail records skip the tail mutex entirely.
+    /// maintenance and stats name the tail without taking its mutex.
     tail_seg: AtomicU32,
     /// Serializes structural maintenance: seal, retire, index checkpoint,
     /// truncate. Never taken on the append or read paths.
@@ -250,8 +250,6 @@ pub struct LogStore {
     group_cv: Condvar,
     fsyncs: AtomicU64,
     fsyncs_coalesced: AtomicU64,
-    read_tail_flushes: AtomicU64,
-    read_tail_locks: AtomicU64,
     cold_reads: AtomicU64,
     sealed_total: AtomicU64,
     retired_total: AtomicU64,
@@ -427,8 +425,6 @@ impl LogStore {
             group_cv: Condvar::new(),
             fsyncs: AtomicU64::new(0),
             fsyncs_coalesced: AtomicU64::new(0),
-            read_tail_flushes: AtomicU64::new(0),
-            read_tail_locks: AtomicU64::new(0),
             cold_reads: AtomicU64::new(0),
             sealed_total: AtomicU64::new(0),
             retired_total: AtomicU64::new(0),
@@ -460,9 +456,7 @@ impl LogStore {
     /// counts the pending batch and performs the covering fsync inline once
     /// `max_batches` are waiting. Caller holds the tail lock.
     fn note_appended(&self, tail: &mut Tail) -> Result<(), StorageError> {
-        let SyncPolicy::GroupCommit { max_batches, .. } = self.config.sync else {
-            return Ok(());
-        };
+        let SyncPolicy::GroupCommit { max_batches, .. } = self.config.sync;
         let should_sync = {
             let mut group = self.group.lock();
             group.pending_batches += 1;
@@ -479,17 +473,12 @@ impl LogStore {
 
     /// Blocks until record `seq` is covered by an fsync.
     ///
-    /// Under [`SyncPolicy::GroupCommit`] this is the reply-release gate: a
-    /// caller may acknowledge `seq` only after this returns. The wait is
-    /// bounded — if no neighbouring batch triggers the sync within
-    /// `max_delay` of the oldest pending append, the caller performs it
-    /// itself. Under every other policy the append path already provided
-    /// whatever durability the policy promises, so this returns
-    /// immediately.
+    /// This is the reply-release gate: a caller may acknowledge `seq` only
+    /// after this returns. The wait is bounded — if no neighbouring batch
+    /// triggers the sync within `max_delay` of the oldest pending append,
+    /// the caller performs it itself.
     pub fn ensure_durable(&self, seq: u64) -> Result<(), StorageError> {
-        let SyncPolicy::GroupCommit { max_delay, .. } = self.config.sync else {
-            return Ok(());
-        };
+        let SyncPolicy::GroupCommit { max_delay, .. } = self.config.sync;
         loop {
             let mut group = self.group.lock();
             if seq < group.durable_len {
@@ -533,8 +522,6 @@ impl LogStore {
         SyncStats {
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             fsyncs_coalesced: self.fsyncs_coalesced.load(Ordering::Relaxed),
-            read_tail_flushes: self.read_tail_flushes.load(Ordering::Relaxed),
-            read_tail_locks: self.read_tail_locks.load(Ordering::Relaxed),
         }
     }
 
@@ -588,11 +575,7 @@ impl LogStore {
             self.tail_seg.store(next_id, Ordering::Release);
         }
         let offset = tail.writer.append(payload)?;
-        match self.config.sync {
-            SyncPolicy::Always => self.sync_tail(&mut tail)?,
-            SyncPolicy::OnRotate | SyncPolicy::GroupCommit { .. } => tail.writer.flush()?,
-            SyncPolicy::Never => {}
-        }
+        tail.writer.flush()?;
         let locator = Locator {
             segment: tail.writer.id(),
             offset,
@@ -634,11 +617,7 @@ impl LogStore {
                 offset,
             });
         }
-        match self.config.sync {
-            SyncPolicy::Always => self.sync_tail(&mut tail)?,
-            SyncPolicy::OnRotate | SyncPolicy::GroupCommit { .. } => tail.writer.flush()?,
-            SyncPolicy::Never => {}
-        }
+        tail.writer.flush()?;
         let first = {
             let mut tiers = self.tiers.write();
             let first = tiers.len();
@@ -651,10 +630,10 @@ impl LogStore {
 
     /// Reads record `id`.
     ///
-    /// Cold records are served through the sealed segment's cached handle
-    /// and never touch the tail lock. Hot records only take the tail lock
-    /// when they live in the active tail segment (cheap atomic id check) —
-    /// and even then flush only when the write buffer is dirty.
+    /// Cold records are served through the sealed segment's cached handle;
+    /// hot records through a fresh handle. Neither takes the tail lock:
+    /// every append is flushed to the OS before its sequence number is
+    /// published, so an indexed record is always readable from the file.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, StorageError> {
         let resolved = self.tiers.read().resolve(id)?;
         match resolved {
@@ -667,20 +646,6 @@ impl LogStore {
     }
 
     fn read_hot(&self, id: u64, locator: Locator) -> Result<Vec<u8>, StorageError> {
-        // The tail segment may still hold this record in its write buffer;
-        // flush before reading if it is the active segment — but only when
-        // something was actually appended since the last flush, so a
-        // read-heavy loop does not pay a syscall per read. Records in any
-        // other segment were flushed at rotation, so the lock is skipped
-        // entirely.
-        if locator.segment == self.tail_seg.load(Ordering::Acquire) {
-            let mut tail = self.tail.lock();
-            self.read_tail_locks.fetch_add(1, Ordering::Relaxed);
-            if tail.writer.id() == locator.segment && tail.writer.is_dirty() {
-                tail.writer.flush()?;
-                self.read_tail_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         match read_record_at(&self.dir, locator.segment, locator.offset) {
             Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 // The segment was sealed between resolve and open — the
@@ -701,9 +666,8 @@ impl LogStore {
     /// Reads records `[start, start + count)` in order.
     ///
     /// The locator lookup is batched (one tiers-lock acquisition for the
-    /// whole range), the dirty-tail flush check runs once per call rather
-    /// than once per record, and records are read through per-segment
-    /// cached handles instead of re-opening the file per record.
+    /// whole range), and records are read through per-segment cached
+    /// handles instead of re-opening the file per record.
     pub fn read_range(&self, start: u64, count: u64) -> Result<Vec<Vec<u8>>, StorageError> {
         if count == 0 {
             return Ok(Vec::new());
@@ -722,19 +686,6 @@ impl LogStore {
             }
             resolved
         };
-        // One dirty-tail check for the whole call.
-        let tail_id = self.tail_seg.load(Ordering::Acquire);
-        let touches_tail = resolved
-            .iter()
-            .any(|r| matches!(r, Resolved::Hot(l) if l.segment == tail_id));
-        if touches_tail {
-            let mut tail = self.tail.lock();
-            self.read_tail_locks.fetch_add(1, Ordering::Relaxed);
-            if tail.writer.id() == tail_id && tail.writer.is_dirty() {
-                tail.writer.flush()?;
-                self.read_tail_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let mut out = Vec::with_capacity(count as usize);
         let mut cached: Option<(SegmentId, File)> = None;
         for (i, resolved) in resolved.into_iter().enumerate() {
@@ -804,11 +755,6 @@ impl LogStore {
     pub fn segment_count(&self) -> u32 {
         let stats = self.tier_stats();
         (stats.cold_segments + stats.hot_segments) as u32
-    }
-
-    /// Id of the segment currently being appended to.
-    pub fn tail_segment_id(&self) -> SegmentId {
-        self.tail_seg.load(Ordering::Acquire)
     }
 
     /// Iterates over all live records in sequence order, starting at
@@ -1303,57 +1249,18 @@ mod tests {
 
     #[test]
     fn sync_policies_all_roundtrip() {
-        for (tag, sync) in [
-            ("always", SyncPolicy::Always),
-            ("onrotate", SyncPolicy::OnRotate),
-            ("never", SyncPolicy::Never),
-            (
-                "group",
-                SyncPolicy::GroupCommit {
-                    max_batches: 4,
+        for (tag, max_batches) in [("every", 1), ("default", 8), ("never", usize::MAX)] {
+            let config = StoreConfig {
+                sync: SyncPolicy::GroupCommit {
+                    max_batches,
                     max_delay: Duration::from_millis(5),
                 },
-            ),
-        ] {
-            let config = StoreConfig {
-                sync,
                 ..Default::default()
             };
             let store = LogStore::open(tempdir(&format!("sp-{tag}")), config).unwrap();
             store.append(b"x").unwrap();
             assert_eq!(store.read(0).unwrap(), b"x");
         }
-    }
-
-    #[test]
-    fn read_heavy_loop_does_not_reflush() {
-        // Satellite regression: under OnRotate the append path already
-        // flushed, so reads of the active segment must not flush again.
-        let store = LogStore::open(tempdir("noreflush"), StoreConfig::default()).unwrap();
-        for i in 0..8u32 {
-            store.append(format!("r{i}").as_bytes()).unwrap();
-        }
-        for _ in 0..100 {
-            store.read(3).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_flushes, 0);
-
-        // Under Never the first read pays exactly one flush, then none until
-        // the next append dirties the buffer again.
-        let config = StoreConfig {
-            sync: SyncPolicy::Never,
-            ..Default::default()
-        };
-        let store = LogStore::open(tempdir("noreflush2"), config).unwrap();
-        store.append(b"a").unwrap();
-        for _ in 0..50 {
-            store.read(0).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_flushes, 1);
-        store.append(b"b").unwrap();
-        store.read(1).unwrap();
-        store.read(0).unwrap();
-        assert_eq!(store.sync_stats().read_tail_flushes, 2);
     }
 
     #[test]
@@ -1407,23 +1314,21 @@ mod tests {
     }
 
     #[test]
-    fn ensure_durable_is_a_no_op_for_other_policies() {
-        for (tag, sync) in [
-            ("ed-always", SyncPolicy::Always),
-            ("ed-onrotate", SyncPolicy::OnRotate),
-            ("ed-never", SyncPolicy::Never),
-        ] {
-            let config = StoreConfig {
-                sync,
-                ..Default::default()
-            };
-            let store = LogStore::open(tempdir(tag), config).unwrap();
-            store.append(b"x").unwrap();
-            let start = Instant::now();
-            store.ensure_durable(0).unwrap();
-            store.ensure_durable(1_000_000).unwrap();
-            assert!(start.elapsed() < Duration::from_secs(1));
-        }
+    fn ensure_durable_returns_at_once_when_every_append_syncs() {
+        let config = StoreConfig {
+            sync: SyncPolicy::GroupCommit {
+                max_batches: 1,
+                max_delay: Duration::from_secs(5),
+            },
+            ..Default::default()
+        };
+        let store = LogStore::open(tempdir("ed-every"), config).unwrap();
+        store.append(b"x").unwrap();
+        assert_eq!(store.sync_stats().fsyncs, 1, "the append synced inline");
+        let start = Instant::now();
+        store.ensure_durable(0).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(store.sync_stats().fsyncs, 1, "no extra fsync needed");
     }
 
     #[test]
@@ -1611,59 +1516,6 @@ mod tier_tests {
             );
         }
         assert_eq!(store.append(b"post-reopen").unwrap(), 30);
-    }
-
-    #[test]
-    fn read_skips_tail_lock_for_sealed_segments() {
-        // Satellite regression: reads of non-tail records must not touch
-        // the tail mutex at all.
-        let store = LogStore::open(tempdir("skiplock"), small_seg_config()).unwrap();
-        fill(&store, 30);
-        let tail_id = store.tail_segment_id();
-        assert!(tail_id > 0);
-        // Record 0 lives in segment 0, long rotated away.
-        for _ in 0..50 {
-            store.read(0).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_locks, 0);
-        // A read of the newest record (in the tail) takes the lock.
-        store.read(store.len() - 1).unwrap();
-        assert_eq!(store.sync_stats().read_tail_locks, 1);
-        // Cold reads skip it too.
-        store.seal_up_to(store.len()).unwrap();
-        let locks = store.sync_stats().read_tail_locks;
-        for i in 0..10u64 {
-            store.read(i).unwrap();
-        }
-        assert_eq!(store.sync_stats().read_tail_locks, locks);
-    }
-
-    #[test]
-    fn read_range_takes_the_tail_lock_once() {
-        // Satellite regression: a range read pays at most one tail-lock
-        // acquisition and one flush check per call, not one per record.
-        let config = StoreConfig {
-            max_segment_bytes: 96,
-            sync: SyncPolicy::Never, // keep the tail dirty so flushes count
-            ..Default::default()
-        };
-        let store = LogStore::open(tempdir("rangelock"), config).unwrap();
-        for i in 0..30u32 {
-            store
-                .append(format!("tier-record-{i:05}").as_bytes())
-                .unwrap();
-        }
-        let records = store.read_range(0, 30).unwrap();
-        assert_eq!(records.len(), 30);
-        let stats = store.sync_stats();
-        assert_eq!(stats.read_tail_locks, 1, "one lock per range call");
-        assert_eq!(stats.read_tail_flushes, 1, "one flush per range call");
-        // A range not touching the tail takes no lock at all.
-        store.read_range(0, 5).unwrap();
-        assert_eq!(store.sync_stats().read_tail_locks, 1);
-        // Wrong ranges still error.
-        assert!(store.read_range(25, 10).is_err());
-        assert!(store.read_range(0, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1905,5 +1757,13 @@ mod tier_tests {
         for (i, record) in collected.iter().enumerate() {
             assert_eq!(record, format!("tier-record-{i:05}").as_bytes());
         }
+        // A direct range read spans both tiers and the record just
+        // appended to the tail; wrong ranges still error.
+        let next = store.append(b"fresh").unwrap();
+        let range = store.read_range(10, next - 9).unwrap();
+        assert_eq!(range[..20], collected[10..]);
+        assert_eq!(range[20], b"fresh");
+        assert!(store.read_range(25, 10).is_err());
+        assert!(store.read_range(0, 0).unwrap().is_empty());
     }
 }

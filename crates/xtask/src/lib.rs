@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod graph;
+pub mod loc;
 pub mod tree;
 
 use std::fmt;

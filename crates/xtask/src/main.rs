@@ -1,4 +1,5 @@
-//! CLI entry point: `cargo run -p xtask -- lint [--root <path>] [--allows]`.
+//! CLI entry point: `cargo run -p xtask -- lint [--root <path>] [--allows]`
+//! and `cargo run -p xtask -- loc [--root <path>]`.
 
 #![forbid(unsafe_code)]
 
@@ -91,6 +92,25 @@ fn run_allows_audit(root: &Path) -> ExitCode {
     }
 }
 
+fn run_loc(root: &Path) -> ExitCode {
+    let crates = match xtask::loc::count_workspace(root) {
+        Ok(crates) => crates,
+        Err(err) => {
+            eprintln!(
+                "error: failed to read sources under {}: {err}",
+                root.display()
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    for c in &crates {
+        println!("{:<12} {:>7}", c.name, c.lines);
+    }
+    let total: usize = crates.iter().map(|c| c.lines).sum();
+    println!("{:<12} {:>7}", "total", total);
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let command = args.next();
@@ -115,11 +135,14 @@ fn main() -> ExitCode {
     match command.as_deref() {
         Some("lint") if allows => run_allows_audit(&root),
         Some("lint") => run_lint(&root),
+        Some("loc") => run_loc(&root),
         _ => {
             eprintln!("usage: cargo run -p xtask -- lint [--root <path>] [--allows]");
+            eprintln!("       cargo run -p xtask -- loc [--root <path>]");
             eprintln!();
             eprintln!("  lint           run the wedge-lint static-analysis pass (L1–L9)");
             eprintln!("  lint --allows  audit every allow marker; fail on stale ones");
+            eprintln!("  loc            print the non-test Rust line count per crate");
             ExitCode::FAILURE
         }
     }
