@@ -11,3 +11,4 @@ pub mod epoch;
 pub mod shutdown;
 pub mod slow_client;
 pub mod snapshot;
+pub mod stage2_doorbell;

@@ -97,3 +97,24 @@ fn epoch_untagged_collection_folds_stale_roots() {
         "wrong failure: {failure}"
     );
 }
+
+#[test]
+fn stage2_doorbell_commits_every_position_exactly_once() {
+    let report = check::models::stage2_doorbell::run(false, cfg());
+    println!("stage2_doorbell: {report}");
+    assert!(report.failure.is_none(), "{report}");
+    assert!(
+        report.explored > 1_000,
+        "state space too small to be meaningful: {report}"
+    );
+}
+
+#[test]
+fn stage2_doorbell_ring_before_publish_strands_a_position() {
+    let report = check::models::stage2_doorbell::run(true, cfg());
+    println!("stage2_doorbell(broken): {report}");
+    let failure = report
+        .failure
+        .expect("ringing before publishing must strand a position");
+    assert!(failure.contains("lost wake-up"), "wrong failure: {failure}");
+}

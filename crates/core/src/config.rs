@@ -68,9 +68,9 @@ pub enum Stage2Mode {
 /// Retry policy for the stage-2 committer.
 ///
 /// A failed `Update-Records` transaction (dropped submission, revert,
-/// receipt timeout) is re-queued and re-submitted with bounded exponential
-/// backoff: attempt `k` waits `base_backoff × 2^(k-1)` of *simulated* time,
-/// capped at `max_backoff`, scaled by a deterministic ±`jitter` factor so
+/// receipt timeout) is re-submitted with bounded exponential backoff:
+/// attempt `k` waits `base_backoff × 2^(k-1)` of *simulated* time, capped
+/// at `max_backoff`, scaled by a deterministic ±`jitter` factor so
 /// co-located committers don't thunder. Only after `max_attempts`
 /// consecutive failures of the same group is the commitment abandoned and
 /// counted in `NodeStats::stage2_failed`.
@@ -174,8 +174,6 @@ pub struct NodeConfig {
     pub stage2_max_group: usize,
     /// Retry policy for failed stage-2 commitments.
     pub stage2_retry: Stage2RetryPolicy,
-    /// Simulated network delay applied to each inbound request message.
-    pub request_latency: LatencyModel,
     /// Simulated network delay applied to each outbound response batch.
     pub response_latency: LatencyModel,
     /// Replicas to fan batches out to before responding (0 = none; the
@@ -204,7 +202,6 @@ impl Default for NodeConfig {
             stage2_mode: Stage2Mode::default(),
             stage2_max_group: 16,
             stage2_retry: Stage2RetryPolicy::default(),
-            request_latency: LatencyModel::Zero,
             response_latency: LatencyModel::Zero,
             replicas: 0,
             replica_link_delay: Duration::from_micros(200),

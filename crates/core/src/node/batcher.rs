@@ -15,9 +15,10 @@
 //!    max(local, replication) instead of the sum;
 //! 3. **deliver** — sign one response per request (parallel), wait for the
 //!    group-commit fsync covering the batch, register the batch in
-//!    the write plane (publishing a new read snapshot), deliver the
-//!    replies (completing link #1 — stage-1 / off-chain commitment), and
-//!    hand the `(log_id, MRoot)` pair to the stage-2 committer (link #3).
+//!    the write plane (publishing a new read snapshot), ring the stage-2
+//!    committer's doorbell (link #3 — the committer reads the new position
+//!    from the snapshot), and deliver the replies (completing link #1 —
+//!    stage-1 / off-chain commitment).
 //!
 //! Shutdown drains exactly-once by construction: when the ingest channel
 //! disconnects, collect flushes its partial batch and drops its sender;
@@ -35,7 +36,6 @@ use wedge_merkle::{MerkleTree, PARALLEL_CUTOFF};
 use crate::config::NodeBehavior;
 use crate::types::{EntryId, SignedResponse};
 
-use super::stage2::Stage2Task;
 use super::state::{encode_header, encode_leaf, BatchMeta};
 use super::{tamper, IngestMsg, Shared};
 
@@ -61,8 +61,10 @@ enum PersistOutcome {
 }
 
 /// Batcher main loop: runs the three pipeline stages on scoped threads and
-/// returns once all of them have drained and exited.
-pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, stage2: Sender<Stage2Task>) {
+/// returns once all of them have drained and exited. `doorbell` wakes the
+/// stage-2 committer; dropping it on exit tells the committer no further
+/// positions will appear.
+pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, doorbell: Sender<()>) {
     let depth = shared.config.pipeline_depth.max(1);
     let (persist_tx, persist_rx) = bounded::<VerifiedBatch>(depth);
     let (deliver_tx, deliver_rx) = bounded::<PersistOutcome>(depth);
@@ -70,7 +72,7 @@ pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<IngestMsg>, stage2: Sender<S
     let _ = crossbeam::thread::scope(move |scope| {
         scope.spawn(move |_| collect_stage(shared, rx, persist_tx));
         scope.spawn(move |_| persist_stage(shared, persist_rx, deliver_tx));
-        scope.spawn(move |_| deliver_stage(shared, deliver_rx, stage2));
+        scope.spawn(move |_| deliver_stage(shared, deliver_rx, doorbell));
     });
 }
 
@@ -261,12 +263,8 @@ fn persist_stage(
 
 /// Stage 3: sign responses, register the batch (publishing a new read
 /// snapshot *before* any reply goes out, so a read issued right after a
-/// response always succeeds), deliver replies, queue stage-2 work.
-fn deliver_stage(
-    shared: &Shared,
-    deliver_rx: Receiver<PersistOutcome>,
-    stage2: Sender<Stage2Task>,
-) {
+/// response always succeeds), wake the stage-2 committer, deliver replies.
+fn deliver_stage(shared: &Shared, deliver_rx: Receiver<PersistOutcome>, doorbell: Sender<()>) {
     let mut rng = SmallRng::seed_from_u64(0x5745_4447_4542_4c4b); // "WEDGEBLK"
     while let Ok(outcome) = deliver_rx.recv() {
         let (batch, tree, log_id, first_record) = match outcome {
@@ -347,6 +345,7 @@ fn deliver_stage(
             .map(|(offset, msg)| ((msg.request.publisher, msg.request.sequence), offset as u32))
             .collect();
         let count = batch.len() as u32;
+        let flushed_at = shared.chain.clock().now();
         shared.mutate(move |plane| {
             plane.register_batch(
                 BatchMeta {
@@ -354,10 +353,18 @@ fn deliver_stage(
                     first_record,
                     count,
                     tree,
+                    flushed_at,
                 },
                 entries,
             );
         });
+        // Stage-2 hand-off: the position is pending in the snapshot just
+        // published. Ring only *after* publishing — a committer woken
+        // earlier could read the old snapshot, go back to sleep and strand
+        // the position. A full doorbell already holds a ring the committer
+        // has yet to consume, which covers this batch too; a hung-up one
+        // means no committer runs (epoch mode).
+        let _ = doorbell.try_send(());
         {
             let mut stats = shared.stats.lock();
             stats.entries_ingested += batch.len() as u64;
@@ -386,17 +393,6 @@ fn deliver_stage(
                     (msg.reply)(Err(error.clone()));
                 }
             }
-        }
-
-        // Stage 2 hand-off (omitted under the omission attack).
-        if let Some(stage2_root) =
-            super::stage2::stage2_root_for(shared.config.behavior, log_id, root)
-        {
-            let _ = stage2.send(Stage2Task {
-                log_id,
-                root: stage2_root,
-                stage1_done: shared.chain.clock().now(),
-            });
         }
     }
 }

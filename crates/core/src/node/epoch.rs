@@ -39,9 +39,9 @@ impl OffchainNode {
             ));
         }
         let snap = self.shared.snapshot();
-        let start = snap.commits.contiguous();
-        let end = (snap.batches.len() as u64).min(start.saturating_add(max_group.max(1) as u64));
-        let roots: Vec<_> = (start..end)
+        let pending = super::stage2::pending_range(&snap, 0..u64::MAX, max_group);
+        let start = pending.start;
+        let roots: Vec<_> = pending
             .filter_map(|id| snap.batches.get(id as usize).map(|b| b.tree.root()))
             .collect();
         if !roots.is_empty() {

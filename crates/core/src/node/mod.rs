@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use wedge_chain::{Address, Chain};
 use wedge_crypto::signer::Identity;
@@ -128,8 +128,8 @@ impl Shared {
 
 /// The Offchain Node. Create with [`OffchainNode::start`]; share via `Arc`.
 ///
-/// Dropping the node flushes any partial batch, drains the stage-2 queue,
-/// and joins the worker threads.
+/// Dropping the node flushes any partial batch, commits the pending
+/// stage-2 work, and joins the worker threads.
 pub struct OffchainNode {
     shared: Arc<Shared>,
     /// `None` once shutdown has begun; behind a mutex so
@@ -155,6 +155,8 @@ impl OffchainNode {
     ) -> Result<OffchainNode, CoreError> {
         let data_dir = data_dir.as_ref();
         let store = LogStore::open(data_dir.join("log"), config.store.clone())?;
+        // Restored batches start their stage-2 latency at the restart.
+        let restored_at = chain.clock().now();
         let ckpt_dir = data_dir.join("checkpoints");
         // O(tail) restart: restore the newest valid checkpoint and replay
         // only the records past its cursor. Without one, replay everything
@@ -162,10 +164,11 @@ impl OffchainNode {
         // retention is floor-bounded by the kept checkpoints, so reaching
         // this fallback with a retired prefix means the checkpoint files
         // were lost).
-        let (mut plane, replayed) = match checkpoint::restore(&ckpt_dir, &store) {
+        let (plane, replayed) = match checkpoint::restore(&ckpt_dir, &store, restored_at) {
             Some(restored) => {
                 let mut plane = restored.plane;
-                let replayed = state::replay_tail(&store, &mut plane, restored.cursor)?;
+                let replayed =
+                    state::replay_tail(&store, &mut plane, restored.cursor, restored_at)?;
                 (plane, replayed)
             }
             None => {
@@ -175,7 +178,7 @@ impl OffchainNode {
                     ));
                 }
                 let mut plane = WritePlane::default();
-                let replayed = state::replay_tail(&store, &mut plane, 0)?;
+                let replayed = state::replay_tail(&store, &mut plane, 0, restored_at)?;
                 (plane, replayed)
             }
         };
@@ -189,54 +192,6 @@ impl OffchainNode {
         } else {
             None
         };
-
-        // Stage-2 resynchronization after a restart: positions the Root
-        // Record already holds are marked committed; recovered-but-
-        // uncommitted positions are re-queued for commitment (without this,
-        // a crash between stage 1 and stage 2 would leave entries off-chain
-        // forever). The write plane is still thread-private here, so it is
-        // mutated directly; the first published snapshot below already
-        // carries the reconciled state.
-        //
-        // In `Stage2Mode::Epoch` there is no per-node committer and the
-        // node's RootRecord is not written: commits restore from the
-        // checkpoint, and recovered-but-uncommitted positions simply stay
-        // pending — the epoch coordinator re-collects them with the next
-        // `epoch_report`, which derives the group from the same snapshot.
-        let (stage2_tx, stage2_rx) = unbounded::<stage2::Stage2Task>();
-        if config.stage2_mode == Stage2Mode::Direct {
-            use wedge_contracts::RootRecord;
-            let onchain_tail = chain
-                .view(root_record, &RootRecord::get_tail_calldata())
-                .ok()
-                .and_then(|out| RootRecord::decode_tail(&out))
-                .unwrap_or(0);
-            let now = chain.clock().now();
-            let recovered = plane.batches.len() as u64;
-            for log_id in 0..recovered.min(onchain_tail) {
-                plane.commits.insert_if_absent(
-                    log_id,
-                    CommitInfo {
-                        tx_hash: wedge_crypto::Hash32::ZERO, // pre-restart tx, unknown
-                        block_number: 0,
-                        stage2_latency: Duration::ZERO,
-                    },
-                );
-            }
-            for log_id in onchain_tail..recovered {
-                let Some(honest_root) = plane.batches.get(log_id as usize).map(|b| b.tree.root())
-                else {
-                    break;
-                };
-                if let Some(root) = stage2::stage2_root_for(config.behavior, log_id, honest_root) {
-                    let _ = stage2_tx.send(stage2::Stage2Task {
-                        log_id,
-                        root,
-                        stage1_done: now,
-                    });
-                }
-            }
-        }
 
         let pool = wedge_pool::WorkPool::new(config.worker_threads);
         let ckpt_floor = AtomicU64::new(checkpoint::floor(&ckpt_dir));
@@ -262,30 +217,45 @@ impl OffchainNode {
             epoch_seen: AtomicU64::new(0),
         });
 
+        // Stage-2 resynchronization after a restart: positions the Root
+        // Record already holds are marked committed before any thread
+        // spawns, so the first reader sees them committed. The other
+        // recovered positions stay pending in the snapshot, where the
+        // committer picks them up like freshly flushed ones — a crash
+        // between stage 1 and stage 2 leaves nothing off-chain for good.
+        //
+        // In `Stage2Mode::Epoch` there is no per-node committer and the
+        // node's RootRecord is not written: commits restore from the
+        // checkpoint, and recovered-but-uncommitted positions simply stay
+        // pending — the epoch coordinator re-collects them with the next
+        // `epoch_report`, which derives the group from the same snapshot.
+        let committer = (shared.config.stage2_mode == Stage2Mode::Direct)
+            .then(|| stage2::Committer::recover(Arc::clone(&shared)));
+        // One slot is enough: a pending ring already covers every batch
+        // published before the committer consumes it.
+        let (doorbell_tx, doorbell_rx) = bounded::<()>(1);
+
         let (ingest_tx, ingest_rx) = unbounded::<IngestMsg>();
         let batcher_shared = Arc::clone(&shared);
         let batcher = std::thread::Builder::new()
             .name("wedge-batcher".into())
-            .spawn(move || batcher::run(batcher_shared, ingest_rx, stage2_tx))
+            .spawn(move || batcher::run(batcher_shared, ingest_rx, doorbell_tx))
             // lint: allow(panic) — thread spawn fails only under resource
             // exhaustion during node startup
             .expect("spawn batcher");
         let mut handles = vec![batcher];
-        if shared.config.stage2_mode == Stage2Mode::Direct {
-            let committer_shared = Arc::clone(&shared);
+        if let Some(committer) = committer {
             let committer = std::thread::Builder::new()
                 .name("wedge-stage2".into())
-                .spawn(move || stage2::run(committer_shared, stage2_rx))
+                .spawn(move || committer.run(doorbell_rx))
                 // lint: allow(panic) — thread spawn fails only under resource
                 // exhaustion during node startup
                 .expect("spawn committer");
             handles.push(committer);
-        } else {
-            // Epoch mode: no committer thread. Dropping the receiver makes
-            // the batcher's stage-2 hand-off a no-op (its send result is
-            // ignored); pending roots are pulled via `epoch_report` instead.
-            drop(stage2_rx);
         }
+        // Epoch mode: no committer thread. The doorbell receiver drops here,
+        // so the deliver stage's rings are no-ops; pending roots are pulled
+        // via `epoch_report` instead.
 
         Ok(OffchainNode {
             shared,
@@ -536,17 +506,9 @@ impl OffchainNode {
         let clock = self.shared.chain.clock().clone();
         let start = clock.now();
         loop {
-            {
-                let snap = self.shared.snapshot();
-                let flushed = snap.batches.len() as u64;
-                let committed = snap.commits.len();
-                let omitted = match self.shared.config.behavior {
-                    NodeBehavior::OmitStage2 { from_log } => flushed.saturating_sub(from_log),
-                    _ => 0,
-                };
-                if committed + omitted >= flushed {
-                    return Ok(());
-                }
+            let eligible = 0..stage2::stage2_limit(self.shared.config.behavior);
+            if stage2::pending_range(&self.shared.snapshot(), eligible, 1).is_empty() {
+                return Ok(());
             }
             if clock.now().since(start) > timeout {
                 return Err(CoreError::NotYetBlockchainCommitted {
@@ -606,7 +568,7 @@ impl OffchainNode {
         let _ = self.ingest.lock().take();
     }
 
-    /// Stops the node: flushes the partial batch, completes queued stage-2
+    /// Stops the node: flushes the partial batch, completes pending stage-2
     /// work, joins threads, and writes a final checkpoint so the next start
     /// replays nothing. Called automatically on drop.
     pub fn shutdown(&mut self) {

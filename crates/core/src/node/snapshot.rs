@@ -514,6 +514,7 @@ mod tests {
             first_record: log_id * (count as u64 + 1) + 1,
             count,
             tree: MerkleTree::from_leaves(&leaves).unwrap(),
+            flushed_at: wedge_sim::SimInstant::EPOCH,
         }
     }
 

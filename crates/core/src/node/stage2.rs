@@ -1,11 +1,15 @@
 //! The stage-2 committer (paper §4.3, blockchain commitment), rebuilt as a
 //! fault-tolerant retry subsystem.
 //!
-//! Runs lazily in the background: drains `(log_id, MRoot)` pairs from the
-//! batcher into an ordered backlog, groups contiguous runs into a single
-//! `Update-Records` transaction (amortizing the 21k base cost — the
+//! Runs lazily in the background. It keeps no copy of the pending work:
+//! the read-plane snapshot is the only record of it. Flushed positions not
+//! yet in `commits` are pending. The committer reads the next contiguous run
+//! of them from the committed frontier ([`pending_range`]), groups it into a
+//! single `Update-Records` transaction (amortizing the 21k base cost — the
 //! minimum-writing lever of Figure 3 right), submits, and waits for the
-//! confirmed receipt before recording the position as blockchain-committed.
+//! confirmed receipt before recording the positions as blockchain-committed.
+//! The deliver stage rings a one-slot doorbell after each batch
+//! registration, so an idle committer wakes without polling.
 //!
 //! LMT's safety story rests on every flushed position *eventually* reaching
 //! the Root Record, so a failed transaction is never dropped on first
@@ -16,19 +20,20 @@
 //! 2. **reconciles** against the contract's on-chain tail — a timed-out
 //!    transaction may well have landed, and those positions are marked
 //!    committed rather than re-sent (the Root Record's single-write
-//!    invariant would reject a duplicate anyway);
-//! 3. **re-queues** what remains with bounded exponential backoff + jitter
+//!    invariant would reject a duplicate anyway). The same reconcile runs
+//!    once at node start, before any thread spawns;
+//! 3. **retries** what remains with bounded exponential backoff + jitter
 //!    (see [`crate::config::Stage2RetryPolicy`]);
 //! 4. abandons a group — counting `stage2_failed` — only once
 //!    `max_attempts` consecutive attempts failed: `stage2_failed` means
 //!    "retries exhausted", not "first attempt unlucky".
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wedge_chain::{ChainError, Gas, Receipt, TxHash};
@@ -36,31 +41,52 @@ use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
 use wedge_sim::SimInstant;
 
+use super::snapshot::Snapshot;
 use super::state::CommitInfo;
 use super::Shared;
+use crate::config::NodeBehavior;
 
-/// One batch's pending stage-2 commitment.
-pub(crate) struct Stage2Task {
-    pub log_id: u64,
-    pub root: Hash32,
-    pub stage1_done: SimInstant,
+/// The next stage-2 group in `snap`: the first run of flushed-but-
+/// uncommitted log positions at or above the committed frontier, restricted
+/// to `eligible` and capped at `max_group` positions.
+///
+/// Already-committed positions at the start of the window are skipped. The
+/// run stops before the next committed position: the Root Record writes
+/// strictly sequentially, so a position beyond a gap must never share the
+/// group's `start_idx` in `update_records_calldata(start_idx, …)`. Empty
+/// when nothing is pending.
+pub(crate) fn pending_range(snap: &Snapshot, eligible: Range<u64>, max_group: usize) -> Range<u64> {
+    let flushed = (snap.batches.len() as u64).min(eligible.end);
+    let mut start = snap.commits.contiguous().max(eligible.start);
+    while start < flushed && snap.commits.contains(start) {
+        start += 1;
+    }
+    let cap = start.saturating_add(max_group.max(1) as u64).min(flushed);
+    let mut end = start;
+    while end < cap && !snap.commits.contains(end) {
+        end += 1;
+    }
+    start..end
 }
 
-/// The root a (possibly malicious) node will blockchain-commit for
-/// `log_id`, given the honest root. Shared by the live batcher and the
-/// restart-recovery path so a configured behaviour survives restarts.
-pub(crate) fn stage2_root_for(
-    behavior: crate::config::NodeBehavior,
-    log_id: u64,
-    honest_root: Hash32,
-) -> Option<Hash32> {
-    use crate::config::NodeBehavior;
+/// The first log position `behavior` never blockchain-commits: the
+/// omission attack's `from_log`, `u64::MAX` otherwise.
+pub(crate) fn stage2_limit(behavior: NodeBehavior) -> u64 {
     match behavior {
-        NodeBehavior::OmitStage2 { .. } if behavior.affects(log_id) => None,
-        NodeBehavior::CommitWrongRoot { .. } if behavior.affects(log_id) => Some(Hash32::keccak(
-            &[honest_root.as_bytes().as_slice(), b"equivocation"].concat(),
-        )),
-        _ => Some(honest_root),
+        NodeBehavior::OmitStage2 { from_log } => from_log,
+        _ => u64::MAX,
+    }
+}
+
+/// The root a (possibly malicious) node blockchain-commits for `log_id`,
+/// given the honest root. Applied once, when the committer forms a group,
+/// so a configured behaviour holds for live and recovered positions alike.
+fn stage2_root_for(behavior: NodeBehavior, log_id: u64, honest_root: Hash32) -> Hash32 {
+    match behavior {
+        NodeBehavior::CommitWrongRoot { .. } if behavior.affects(log_id) => {
+            Hash32::keccak(&[honest_root.as_bytes().as_slice(), b"equivocation"].concat())
+        }
+        _ => honest_root,
     }
 }
 
@@ -76,28 +102,14 @@ enum FailureKind {
     Timeout,
 }
 
-/// The contiguous run of log ids at the head of the backlog, capped at
-/// `max_group`. Positions beyond a gap are deferred to a later group: the
-/// Root Record writes strictly sequentially, so committing them under
-/// `update_records_calldata(start_idx, …)` would bind their roots to the
-/// wrong on-chain indices.
-fn contiguous_head(pending: &BTreeMap<u64, Stage2Task>, max_group: usize) -> Vec<u64> {
-    let mut ids = Vec::new();
-    for (&id, _) in pending.iter().take(max_group.max(1)) {
-        match ids.last() {
-            Some(&last) if id != last + 1 => break,
-            _ => ids.push(id),
-        }
-    }
-    ids
-}
-
-/// The committer's mutable state: the ordered backlog plus the retry
-/// schedule for its head group.
-struct Committer<'a> {
-    shared: &'a Shared,
-    /// Flushed-but-uncommitted positions, ordered by log id.
-    pending: BTreeMap<u64, Stage2Task>,
+/// The committer's state: the retry schedule for the head group and the
+/// watermark of abandoned positions. The pending positions themselves live
+/// only in the snapshot.
+pub(crate) struct Committer {
+    shared: Arc<Shared>,
+    /// Positions below this were committed or abandoned after exhausting
+    /// their retries; group formation never revisits them.
+    abandoned_upto: u64,
     /// Failed attempts of the current head group.
     attempt: u32,
     /// The log id `attempt` refers to; progress at the head resets it.
@@ -178,81 +190,81 @@ impl TierMaintenance {
     }
 }
 
-/// Committer main loop: exits when the batcher hangs up, the queue is
-/// drained, and every backlog entry is committed or exhausted.
-pub(crate) fn run(shared: Arc<Shared>, rx: Receiver<Stage2Task>) {
-    let mut c = Committer {
-        shared: &shared,
-        pending: BTreeMap::new(),
-        attempt: 0,
-        attempt_head: None,
-        next_due: shared.chain.clock().now(),
-        rng: SmallRng::seed_from_u64(0x5354_4147_4532_5254), // "STAGE2RT"
-    };
-    let mut rx_open = true;
-    loop {
-        if c.pending.is_empty() {
-            if !rx_open {
-                break;
-            }
-            // Idle: block until the batcher hands over work or hangs up.
-            match rx.recv() {
-                Ok(task) => {
-                    c.pending.insert(task.log_id, task);
-                }
-                Err(_) => break,
-            }
-        }
-        // Opportunistically drain whatever else is queued.
-        rx_open = drain(&rx, &mut c.pending, rx_open);
-        // Honour the backoff deadline, still accepting new work meanwhile.
+impl Committer {
+    /// Builds the committer and resynchronizes it with the chain: positions
+    /// the Root Record already holds (committed before a restart, but
+    /// missing from the restored state) are marked committed. Runs on the
+    /// starting thread, before any worker spawns, so the first reader sees
+    /// the reconciled state. Everything still pending is picked up from the
+    /// snapshot by [`Committer::run`].
+    pub(crate) fn recover(shared: Arc<Shared>) -> Committer {
+        let next_due = shared.chain.clock().now();
+        let mut c = Committer {
+            shared,
+            abandoned_upto: 0,
+            attempt: 0,
+            attempt_head: None,
+            next_due,
+            rng: SmallRng::seed_from_u64(0x5354_4147_4532_5254), // "STAGE2RT"
+        };
+        let snap = c.shared.snapshot();
+        c.reconcile_tail(snap.commits.contiguous()..snap.batches.len() as u64, None);
+        c
+    }
+
+    /// Committer main loop: commits pending groups until none is left, then
+    /// sleeps on the doorbell. Exits once the deliver stage has hung up and
+    /// every pending position is committed or abandoned.
+    pub(crate) fn run(mut self, doorbell: Receiver<()>) {
         loop {
-            let now = shared.chain.clock().now();
-            if now >= c.next_due {
-                break;
+            if self.next_group(&self.shared.snapshot()).is_empty() {
+                // The deliver stage rings only after publishing a batch, so
+                // a ring (or a hang-up) observed here covers every position
+                // registered since the snapshot above was loaded.
+                if doorbell.recv().is_err() {
+                    break;
+                }
+                continue;
             }
-            let quantum = c.next_due.since(now).min(Duration::from_millis(100));
-            shared.chain.clock().sleep(quantum);
-            rx_open = drain(&rx, &mut c.pending, rx_open);
-        }
-        c.attempt_head_group();
-    }
-}
-
-/// Drains every queued task without blocking; returns whether the channel
-/// is still open.
-fn drain(rx: &Receiver<Stage2Task>, pending: &mut BTreeMap<u64, Stage2Task>, open: bool) -> bool {
-    if !open {
-        return false;
-    }
-    loop {
-        match rx.try_recv() {
-            Ok(task) => {
-                pending.insert(task.log_id, task);
+            // Honour the backoff deadline; positions flushed meanwhile join
+            // the group formed after it.
+            let now = self.shared.chain.clock().now();
+            if now < self.next_due {
+                self.shared.chain.clock().sleep(self.next_due.since(now));
             }
-            Err(TryRecvError::Empty) => return true,
-            Err(TryRecvError::Disconnected) => return false,
+            self.attempt_head_group();
         }
     }
-}
 
-impl Committer<'_> {
+    /// The next group to submit: pending positions past the abandoned
+    /// watermark, short of the omission cut.
+    fn next_group(&self, snap: &Snapshot) -> Range<u64> {
+        let eligible = self.abandoned_upto..stage2_limit(self.shared.config.behavior);
+        pending_range(snap, eligible, self.shared.config.stage2_max_group)
+    }
+
     /// Submits one `Update-Records` transaction for the head group and
     /// handles the outcome.
     fn attempt_head_group(&mut self) {
-        let group = contiguous_head(&self.pending, self.shared.config.stage2_max_group);
-        let Some(&start_idx) = group.first() else {
+        let snap = self.shared.snapshot();
+        let group = self.next_group(&snap);
+        if group.is_empty() {
             return;
-        };
+        }
+        let start_idx = group.start;
         // Progress at the head (including partial progress from a
         // reconciled timeout) starts a fresh attempt budget.
         if self.attempt_head != Some(start_idx) {
             self.attempt = 0;
             self.attempt_head = Some(start_idx);
         }
+        let behavior = self.shared.config.behavior;
         let roots: Vec<Hash32> = group
-            .iter()
-            .filter_map(|id| self.pending.get(id).map(|t| t.root))
+            .clone()
+            .filter_map(|id| {
+                let batch = snap.batches.get(id as usize)?;
+                Some(stage2_root_for(behavior, id, batch.tree.root()))
+            })
             .collect();
         let calldata = RootRecord::update_records_calldata(start_idx, &roots);
         // 21k base + calldata + 20k per fresh word + margin.
@@ -277,7 +289,7 @@ impl Committer<'_> {
             Err(_) => (FailureKind::Submission, None),
             Ok(hash) => match self.shared.chain.wait_for_receipt(hash) {
                 Ok(receipt) if receipt.status.is_success() => {
-                    self.commit_group(&group, &receipt, true);
+                    self.commit_group(group, &receipt, true);
                     self.next_due = self.shared.chain.clock().now();
                     return;
                 }
@@ -286,54 +298,88 @@ impl Committer<'_> {
                 Err(_) => (FailureKind::Submission, Some(hash)),
             },
         };
-        self.handle_failure(&group, failure.0, failure.1);
+        self.handle_failure(group, failure.0, failure.1);
     }
 
-    /// Marks every position of `group` blockchain-committed under
-    /// `receipt`, removing it from the backlog. `charge` controls whether
-    /// the receipt's gas/fee are added to the stats (false when the same
-    /// receipt was already charged by an earlier reconciliation).
-    fn commit_group(&mut self, group: &[u64], receipt: &Receipt, charge: bool) {
+    /// Marks every not-yet-committed position of `group` blockchain-
+    /// committed under `receipt`. `charge` controls whether the receipt's
+    /// gas/fee are added to the stats (false for a placeholder receipt).
+    fn commit_group(&mut self, group: Range<u64>, receipt: &Receipt, charge: bool) {
         let committed_at = self.shared.chain.clock().now();
-        let tasks: Vec<Stage2Task> = group
-            .iter()
-            .filter_map(|id| self.pending.remove(id))
-            .collect();
         // One write-plane mutation (and one published snapshot) for the
-        // whole group.
-        self.shared.mutate(|plane| {
-            for task in &tasks {
+        // whole group. Stage-2 latency runs from the batch's registration
+        // (or, for a recovered batch, from the restart) to now.
+        let latencies = self.shared.mutate(|plane| {
+            let mut latencies = Vec::with_capacity(group.clone().count());
+            for log_id in group {
+                if plane.commits.contains(log_id) {
+                    continue;
+                }
+                let Some(batch) = plane.batches.get(log_id as usize) else {
+                    break;
+                };
+                let latency = committed_at.since(batch.flushed_at);
                 plane.commits.insert(
-                    task.log_id,
+                    log_id,
                     CommitInfo {
                         tx_hash: receipt.tx_hash,
                         block_number: receipt.block_number,
-                        stage2_latency: committed_at.since(task.stage1_done),
+                        stage2_latency: latency,
                     },
                 );
+                latencies.push(latency);
             }
+            latencies
         });
+        if latencies.is_empty() {
+            return;
+        }
         {
             let mut stats = self.shared.stats.lock();
-            stats.stage2_committed += tasks.len() as u64;
+            stats.stage2_committed += latencies.len() as u64;
             if charge {
                 stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
                 stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
             }
-            for task in &tasks {
-                stats.record_stage2_latency(committed_at.since(task.stage1_done));
+            for latency in latencies {
+                stats.record_stage2_latency(latency);
             }
         }
         self.shared
             .maintenance
             .lock()
-            .after_group_commit(self.shared);
+            .after_group_commit(&self.shared);
+    }
+
+    /// Reconciles `range` against the Root Record's on-chain tail: the
+    /// positions below it already landed (through a timed-out-but-mined
+    /// transaction, or one sent before a restart) and are marked committed
+    /// instead of being re-sent. Returns the tail.
+    fn reconcile_tail(&mut self, range: Range<u64>, tx_hash: Option<TxHash>) -> u64 {
+        let tail = self.onchain_tail();
+        let landed = range.start..range.end.min(tail);
+        if !landed.is_empty() {
+            // Recover the landing receipt when we know the transaction;
+            // its gas/fee were genuinely paid and belong in the stats.
+            let receipt = tx_hash
+                .and_then(|h| self.shared.chain.receipt(h))
+                .filter(|r| r.status.is_success());
+            match receipt {
+                Some(receipt) => self.commit_group(landed, &receipt, true),
+                // Landed through a transaction we cannot identify
+                // (pre-restart, or a competing submission): record the
+                // commitment without per-tx provenance.
+                None => self.commit_group(landed, &synthetic_receipt(), false),
+            }
+        }
+        tail
     }
 
     /// Classifies a failed attempt, reconciles against the on-chain tail
-    /// (a timed-out transaction may have landed), and either re-queues the
-    /// remainder with backoff or — after `max_attempts` — abandons it.
-    fn handle_failure(&mut self, group: &[u64], kind: FailureKind, tx_hash: Option<TxHash>) {
+    /// (a timed-out transaction may have landed), and either schedules the
+    /// remainder for retry with backoff or — after `max_attempts` —
+    /// abandons it.
+    fn handle_failure(&mut self, group: Range<u64>, kind: FailureKind, tx_hash: Option<TxHash>) {
         {
             let mut stats = self.shared.stats.lock();
             match kind {
@@ -342,29 +388,8 @@ impl Committer<'_> {
                 FailureKind::Timeout => stats.stage2_timeouts += 1,
             }
         }
-        // Partial progress: positions below the contract's tail already
-        // landed (e.g. via a timed-out-but-mined transaction, or a
-        // pre-restart one) — split them off instead of re-sending.
-        let tail = self.onchain_tail();
-        let landed: Vec<u64> = group.iter().copied().filter(|id| *id < tail).collect();
-        if !landed.is_empty() {
-            // Recover the landing receipt when we know the transaction;
-            // its gas/fee were genuinely paid and belong in the stats.
-            let receipt = tx_hash
-                .and_then(|h| self.shared.chain.receipt(h))
-                .filter(|r| r.status.is_success());
-            match receipt {
-                Some(receipt) => self.commit_group(&landed, &receipt, true),
-                None => {
-                    // Landed through a transaction we cannot identify
-                    // (pre-restart, or a competing submission): record the
-                    // commitment without per-tx provenance.
-                    let synthetic = synthetic_receipt();
-                    self.commit_group(&landed, &synthetic, false);
-                }
-            }
-        }
-        let remaining: Vec<u64> = group.iter().copied().filter(|id| *id >= tail).collect();
+        let tail = self.reconcile_tail(group.clone(), tx_hash);
+        let remaining = group.start.max(tail)..group.end;
         let now = self.shared.chain.clock().now();
         if remaining.is_empty() {
             // The whole group landed after all — no retry needed.
@@ -376,10 +401,8 @@ impl Committer<'_> {
         if self.attempt >= policy.max_attempts.max(1) {
             // Retries exhausted: only now does the commitment count as
             // failed.
-            for id in &remaining {
-                self.pending.remove(id);
-            }
-            self.shared.stats.lock().stage2_failed += remaining.len() as u64;
+            self.abandoned_upto = remaining.end;
+            self.shared.stats.lock().stage2_failed += remaining.end - remaining.start;
             self.attempt = 0;
             self.attempt_head = None;
             self.next_due = now;
@@ -388,7 +411,7 @@ impl Committer<'_> {
         let backoff = self.jittered(policy.backoff_for(self.attempt));
         {
             let mut stats = self.shared.stats.lock();
-            stats.stage2_requeued += remaining.len() as u64;
+            stats.stage2_requeued += remaining.end - remaining.start;
             stats.record_backoff(self.attempt);
         }
         self.next_due = now.add(backoff);
@@ -417,7 +440,7 @@ impl Committer<'_> {
 }
 
 /// A placeholder receipt for positions that landed through a transaction
-/// the committer cannot identify (mirrors the restart-recovery path).
+/// the committer cannot identify.
 fn synthetic_receipt() -> Receipt {
     Receipt {
         tx_hash: Hash32::ZERO,
@@ -434,35 +457,89 @@ fn synthetic_receipt() -> Receipt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::snapshot::WritePlane;
+    use crate::node::state::BatchMeta;
+    use wedge_merkle::MerkleTree;
 
-    fn task(log_id: u64) -> Stage2Task {
-        Stage2Task {
-            log_id,
-            root: Hash32([log_id as u8; 32]),
-            stage1_done: SimInstant::EPOCH,
+    /// A snapshot with `flushed` one-entry batches, of which `committed`
+    /// are blockchain-committed.
+    fn snapshot(flushed: u64, committed: &[u64]) -> Arc<Snapshot> {
+        let mut plane = WritePlane::default();
+        for log_id in 0..flushed {
+            let meta = BatchMeta {
+                log_id,
+                first_record: 2 * log_id + 1,
+                count: 1,
+                tree: MerkleTree::from_leaves(&[vec![log_id as u8]]).unwrap(),
+                flushed_at: SimInstant::EPOCH,
+            };
+            plane.register_batch(meta, std::iter::empty());
         }
+        for &log_id in committed {
+            plane.commits.insert(
+                log_id,
+                CommitInfo {
+                    tx_hash: Hash32::ZERO,
+                    block_number: 0,
+                    stage2_latency: Duration::ZERO,
+                },
+            );
+        }
+        plane.freeze()
     }
 
-    fn backlog(ids: &[u64]) -> BTreeMap<u64, Stage2Task> {
-        ids.iter().map(|&id| (id, task(id))).collect()
-    }
+    const ALL: Range<u64> = 0..u64::MAX;
 
     #[test]
     fn head_group_is_contiguous_run() {
-        assert_eq!(contiguous_head(&backlog(&[3, 4, 5]), 16), vec![3, 4, 5]);
-        assert_eq!(contiguous_head(&backlog(&[3, 4, 5]), 2), vec![3, 4]);
-        assert_eq!(contiguous_head(&BTreeMap::new(), 16), Vec::<u64>::new());
+        // Pending 3, 4, 5 behind a committed 0..3 head.
+        let snap = snapshot(6, &[0, 1, 2]);
+        assert_eq!(pending_range(&snap, ALL, 16), 3..6);
+        assert_eq!(pending_range(&snap, ALL, 2), 3..5, "max_group caps");
+        assert_eq!(pending_range(&snap, ALL, 0), 3..4, "a group holds ≥ 1");
+        // Nothing pending.
+        assert!(pending_range(&snapshot(3, &[0, 1, 2]), ALL, 16).is_empty());
+        assert!(pending_range(&snapshot(0, &[]), ALL, 16).is_empty());
     }
 
-    /// Regression (PR 2 satellite): a non-contiguous task must be deferred
-    /// to a later group — the old committer pushed it into the group
-    /// *before* checking contiguity, binding its root to the wrong
-    /// on-chain index inside `update_records_calldata(start_idx, …)`.
+    /// Regression: a position beyond a gap must be deferred to a later
+    /// group — an early committer pushed it into the group *before*
+    /// checking contiguity, binding its root to the wrong on-chain index
+    /// inside `update_records_calldata(start_idx, …)`.
     #[test]
     fn non_contiguous_task_deferred_to_next_group() {
-        let group = contiguous_head(&backlog(&[0, 1, 5]), 16);
-        assert_eq!(group, vec![0, 1], "5 must wait for 2..=4");
-        let group = contiguous_head(&backlog(&[7, 9]), 16);
-        assert_eq!(group, vec![7], "9 never shares 7's start_idx");
+        // Pending 0, 1, 5: 2..5 are already committed.
+        let snap = snapshot(6, &[2, 3, 4]);
+        assert_eq!(pending_range(&snap, ALL, 16), 0..2, "5 must wait");
+        // Pending 7, 9: 9 never shares 7's start_idx.
+        let snap = snapshot(10, &[0, 1, 2, 3, 4, 5, 6, 8]);
+        assert_eq!(pending_range(&snap, ALL, 16), 7..8);
+    }
+
+    #[test]
+    fn omission_cuts_the_range() {
+        let limit = stage2_limit(NodeBehavior::OmitStage2 { from_log: 4 });
+        let snap = snapshot(6, &[0, 1]);
+        assert_eq!(pending_range(&snap, 0..limit, 16), 2..4);
+        let done = snapshot(6, &[0, 1, 2, 3]);
+        assert!(pending_range(&done, 0..limit, 16).is_empty());
+        for honest in [
+            NodeBehavior::Honest,
+            NodeBehavior::CommitWrongRoot { from_log: 0 },
+        ] {
+            assert_eq!(stage2_limit(honest), u64::MAX);
+        }
+    }
+
+    #[test]
+    fn abandoned_positions_are_skipped() {
+        // 2..4 exhausted their retries: the next group starts at 4.
+        let snap = snapshot(8, &[0, 1]);
+        assert_eq!(pending_range(&snap, 4..u64::MAX, 16), 4..8);
+        // Positions committed above the watermark are skipped too.
+        let snap = snapshot(8, &[0, 1, 4, 5]);
+        assert_eq!(pending_range(&snap, 4..u64::MAX, 16), 6..8);
+        // A watermark below the frontier changes nothing.
+        assert_eq!(pending_range(&snap, 1..u64::MAX, 16), 2..4);
     }
 }

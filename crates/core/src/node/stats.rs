@@ -25,8 +25,8 @@ pub struct NodeStats {
     pub stage2_failed: u64,
     /// Stage-2 re-submissions performed (attempt ≥ 2 of a group).
     pub stage2_retries: u64,
-    /// Log positions re-queued into the retry backlog (one position
-    /// counted once per failed attempt of its group).
+    /// Log positions scheduled for retry (one position counted once per
+    /// failed attempt of its group).
     pub stage2_requeued: u64,
     /// Failed stage-2 submissions classified as submission errors
     /// (transaction never reached the mempool).

@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wedge_chain::{Chain, ChainConfig, Wei};
+use wedge_contracts::Punishment;
 use wedge_contracts::RootRecord;
 use wedge_core::{
     deploy_service, CommitPhase, NodeBehavior, NodeConfig, OffchainNode, Publisher, ServiceConfig,
-    Stage2RetryPolicy,
+    Stage2RetryPolicy, Stage2Verdict,
 };
 use wedge_crypto::signer::Identity;
 use wedge_sim::Clock;
@@ -22,6 +23,7 @@ struct World {
     node_identity: Identity,
     publisher: Publisher,
     root_record: wedge_chain::Address,
+    punishment: wedge_chain::Address,
     _miner: wedge_chain::MinerHandle,
     dir: std::path::PathBuf,
 }
@@ -89,6 +91,7 @@ fn world(tag: &str, chain_config: ChainConfig, config: NodeConfig) -> World {
         node_identity,
         publisher,
         root_record: deployment.root_record,
+        punishment: deployment.punishment,
         _miner: miner,
         dir,
     }
@@ -225,6 +228,7 @@ fn restart_recovery_survives_reverted_resubmission() {
         root_record,
         _miner,
         dir,
+        ..
     } = w;
     let mut publisher = publisher;
     publisher.append_batch(payloads(30)).expect("append");
@@ -261,6 +265,88 @@ fn restart_recovery_survives_reverted_resubmission() {
         assert_eq!(node.commit_phase(log_id), CommitPhase::BlockchainCommitted);
     }
     assert_eq!(chain.faults().calls_reverted(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A dishonest node stays punishable across a restart: positions flushed
+/// under the omission attack and recovered by a node that commits wrong
+/// roots must land on-chain with the *wrong* root — the behaviour applies
+/// on the recovery path exactly as on the live one — and the publisher's
+/// signed response must then win the punishment.
+#[test]
+fn recovered_positions_commit_the_restarted_behaviours_root() {
+    let w = world(
+        "wrong-root",
+        ChainConfig::default(),
+        NodeConfig {
+            behavior: NodeBehavior::OmitStage2 { from_log: 0 },
+            ..node_config(10)
+        },
+    );
+    let World {
+        chain,
+        node,
+        node_identity,
+        publisher,
+        root_record,
+        punishment,
+        _miner,
+        dir,
+        ..
+    } = w;
+    let mut publisher = publisher;
+    let outcome = publisher.append_batch(payloads(20)).expect("append");
+    let flushed = node.log_positions();
+    assert_eq!(flushed, 2);
+    assert_eq!(onchain_tail(&chain, root_record), 0, "nothing committed");
+    drop(publisher);
+    drop(node);
+    let node = Arc::new(
+        OffchainNode::start(
+            node_identity,
+            NodeConfig {
+                behavior: NodeBehavior::CommitWrongRoot { from_log: 0 },
+                ..node_config(10)
+            },
+            Arc::clone(&chain),
+            root_record,
+            &dir,
+        )
+        .expect("restart node"),
+    );
+    node.wait_stage2_idle(Duration::from_secs(3600))
+        .expect("recovered positions must commit");
+    assert_eq!(onchain_tail(&chain, root_record), flushed);
+    let client = Identity::from_seed(b"s2f-client-wrong-root");
+    let publisher = Publisher::new(
+        client,
+        Arc::clone(&node),
+        Arc::clone(&chain),
+        root_record,
+        Some(punishment),
+    );
+    for response in [&outcome.responses[0], &outcome.responses[19]] {
+        assert_eq!(
+            publisher
+                .wait_blockchain_commit(response, Duration::from_secs(600))
+                .expect("verdict"),
+            Stage2Verdict::Mismatch,
+            "position {} must carry the wrong root",
+            response.entry_id.log_id
+        );
+    }
+    let receipt = publisher
+        .punish(&outcome.responses[0])
+        .expect("punish call");
+    assert!(receipt.status.is_success());
+    assert_eq!(
+        Punishment::decode_invoke_result(&receipt.output),
+        Some(true),
+        "the restarted node's equivocation must be punishable"
+    );
+    assert_eq!(chain.balance(punishment), Wei::ZERO, "escrow paid out");
+    drop(publisher);
+    drop(node);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
