@@ -9,12 +9,13 @@
 //! 2. **folds** each shard's roots into a shard epoch root, and the N
 //!    shard roots into the cluster root-of-roots — the exact fold the
 //!    [`ClusterRoot`] contract recomputes on-chain from calldata;
-//! 3. **submits** one `Commit-Epoch` transaction, with bounded-backoff
-//!    retries. Failures are *reconciled* against the contract's
-//!    `tail_epoch` before retrying: a receipt timeout does not mean the
-//!    transaction missed, and the contract's sequential single-write rule
-//!    turns any duplicate into a revert — each epoch lands **exactly
-//!    once**;
+//! 3. **submits** one `Commit-Epoch` transaction through a
+//!    [`wedge_core::lander::Lander`] — the stage-2 committer's landing
+//!    loop: failures are classified and *reconciled* against the
+//!    contract's `tail_epoch` before a jittered, bounded-backoff retry. A
+//!    receipt timeout does not mean the transaction missed, and the
+//!    contract's sequential single-write rule turns any duplicate into a
+//!    revert — each epoch lands **exactly once**;
 //! 4. **acknowledges** the covered groups (`epoch_commit`); a lost ack is
 //!    harmless (the shard re-reports, the stale-epoch guard rejects
 //!    out-of-order acks — `wedge-check`'s epoch model exercises why).
@@ -23,10 +24,10 @@
 //! [`ClusterProof`]s from it: entry → shard root → on-chain cluster root.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use wedge_chain::{Address, Chain, ChainError, Gas, Wei};
+use wedge_chain::{Address, Chain, Gas, Receipt, Wei};
 use wedge_contracts::ClusterRoot;
+use wedge_core::lander::{Lander, Next};
 use wedge_core::{CoreError, EntryId, EpochCommit, ShardGroup, Stage2RetryPolicy};
 use wedge_crypto::hash::Hash32;
 use wedge_crypto::signer::Identity;
@@ -66,8 +67,9 @@ pub struct EpochRecord {
     pub epoch: u64,
     /// The on-chain root-of-roots.
     pub cluster_root: Hash32,
-    /// The `Commit-Epoch` transaction (zero when recovered by
-    /// reconciliation without a visible receipt).
+    /// The `Commit-Epoch` transaction that landed (zero when recovered by
+    /// reconciliation without a visible receipt; never a reverted
+    /// attempt).
     pub tx_hash: Hash32,
     /// Block that mined it.
     pub block_number: u64,
@@ -105,10 +107,9 @@ pub struct CoordinatorStats {
 /// Drives the cluster's root-of-roots commits.
 pub struct EpochCoordinator {
     chain: Arc<Chain>,
-    identity: Identity,
     contract: Address,
+    lander: Lander,
     max_group: usize,
-    retry: Stage2RetryPolicy,
     next_epoch: u64,
     records: Vec<EpochRecord>,
     stats: CoordinatorStats,
@@ -116,19 +117,21 @@ pub struct EpochCoordinator {
 
 impl EpochCoordinator {
     /// Deploys a [`ClusterRoot`] bound to `identity` and returns the
-    /// coordinator driving it.
+    /// coordinator driving it. It does not wait for the deploy's receipt,
+    /// which may take longer than the chain's receipt timeout: the contract
+    /// goes live with the next block, and the nonce orders the first
+    /// `Commit-Epoch` behind it.
     pub fn deploy(
         chain: Arc<Chain>,
         identity: Identity,
         max_group: usize,
     ) -> Result<EpochCoordinator, CoreError> {
-        let (contract, tx) = chain.deploy(
+        let (contract, _) = chain.deploy(
             identity.secret_key(),
             Box::new(ClusterRoot::new(identity.address())),
             Wei::ZERO,
             ClusterRoot::CODE_LEN,
         )?;
-        chain.wait_for_receipt(tx)?;
         Ok(EpochCoordinator::new(chain, identity, contract, max_group))
     }
 
@@ -140,27 +143,24 @@ impl EpochCoordinator {
         contract: Address,
         max_group: usize,
     ) -> EpochCoordinator {
-        let next_epoch = chain
-            .view(contract, &ClusterRoot::get_tail_epoch_calldata())
-            .ok()
-            .and_then(|out| ClusterRoot::decode_u64(&out))
-            .unwrap_or(0);
-        EpochCoordinator {
-            chain,
+        let lander = Lander::new(
+            Arc::clone(&chain),
             identity,
             contract,
+            ClusterRoot::get_tail_epoch_calldata(),
+            ClusterRoot::decode_u64,
+            Stage2RetryPolicy::default(),
+            0x4550_4f43_4852_5452, // "EPOCHRTR"
+        );
+        EpochCoordinator {
+            next_epoch: lander.tail().unwrap_or(0),
+            chain,
+            contract,
+            lander,
             max_group: max_group.max(1),
-            retry: Stage2RetryPolicy::default(),
-            next_epoch,
             records: Vec::new(),
             stats: CoordinatorStats::default(),
         }
-    }
-
-    /// Replaces the retry policy (defaults to the stage-2 policy).
-    pub fn with_retry(mut self, retry: Stage2RetryPolicy) -> EpochCoordinator {
-        self.retry = retry;
-        self
     }
 
     /// The `ClusterRoot` contract address.
@@ -199,8 +199,11 @@ impl EpochCoordinator {
         let shard_roots: Vec<Hash32> = shards.iter().map(|s| s.shard_root).collect();
         let cluster_root = ClusterRoot::fold_roots(&shard_roots)
             .ok_or(CoreError::RequestRejected("cluster with zero shards"))?;
-        let landed = self.commit_on_chain(epoch, &shard_roots)?;
-        debug_assert_eq!(landed.root, cluster_root, "on-chain fold must match ours");
+        let receipt = self.commit_on_chain(epoch, &shard_roots)?;
+        let (tx_hash, block_number, gas_used, fee) = receipt
+            .map_or((Hash32::ZERO, 0, Gas(0), Wei::ZERO), |r| {
+                (r.tx_hash, r.block_number, r.gas_used, r.fee)
+            });
 
         // Acknowledge the covered groups. A failed ack is not fatal: the
         // shard re-reports the same positions and a later epoch covers
@@ -213,8 +216,8 @@ impl EpochCoordinator {
                 epoch,
                 start: slice.start,
                 count: slice.roots.len() as u64,
-                tx_hash: landed.tx_hash,
-                block_number: landed.block_number,
+                tx_hash,
+                block_number,
             });
             if ack.is_err() {
                 self.stats.acks_failed += 1;
@@ -222,20 +225,20 @@ impl EpochCoordinator {
         }
 
         self.stats.epochs_committed += 1;
-        self.stats.gas_total += landed.gas_used.0;
+        self.stats.gas_total += gas_used.0;
         self.stats.fees_total = self
             .stats
             .fees_total
-            .checked_add(landed.fee)
+            .checked_add(fee)
             .unwrap_or(self.stats.fees_total);
         self.next_epoch = epoch + 1;
         self.records.push(EpochRecord {
             epoch,
             cluster_root,
-            tx_hash: landed.tx_hash,
-            block_number: landed.block_number,
-            gas_used: landed.gas_used,
-            fee: landed.fee,
+            tx_hash,
+            block_number,
+            gas_used,
+            fee,
             shards,
         });
         Ok(self.records.last())
@@ -263,101 +266,37 @@ impl EpochCoordinator {
             .collect()
     }
 
-    /// Submits `Commit-Epoch` until it lands exactly once. Every failure
-    /// is reconciled against the contract tail before the retry: if the
-    /// epoch is already past the tail, a previous attempt landed and its
-    /// outcome is adopted instead of resubmitting.
-    fn commit_on_chain(&mut self, epoch: u64, shard_roots: &[Hash32]) -> Result<Landed, CoreError> {
+    /// Lands `Commit-Epoch` exactly once through the lander, sleeping out
+    /// each retry's backoff. Returns the landing receipt, when visible.
+    fn commit_on_chain(
+        &mut self,
+        epoch: u64,
+        shard_roots: &[Hash32],
+    ) -> Result<Option<Receipt>, CoreError> {
         let calldata = ClusterRoot::commit_epoch_calldata(epoch, shard_roots);
         // Base cost + per-shard calldata/hashing margin.
         let gas_limit = Gas(150_000 + 30_000 * shard_roots.len() as u64);
-        let mut attempt: u32 = 0;
-        let mut last_tx = None;
         loop {
-            attempt += 1;
             self.stats.txs_submitted += 1;
-            let outcome = self
-                .chain
-                .call_contract(
-                    self.identity.secret_key(),
-                    self.contract,
-                    Wei::ZERO,
-                    calldata.clone(),
-                    gas_limit,
-                )
-                .and_then(|tx| {
-                    last_tx = Some(tx);
-                    self.chain.wait_for_receipt(tx)
-                });
-            match outcome {
-                Ok(receipt) if receipt.status.is_success() => {
-                    return Ok(Landed {
-                        root: ClusterRoot::decode_root(&receipt.output).unwrap_or(Hash32::ZERO),
-                        tx_hash: receipt.tx_hash,
-                        block_number: receipt.block_number,
-                        gas_used: receipt.gas_used,
-                        fee: receipt.fee,
-                    });
-                }
-                Ok(_)
-                | Err(ChainError::SubmissionDropped(_))
-                | Err(ChainError::ReceiptTimeout(_)) => {
-                    // Revert, drop or timeout: the attempt may still have
-                    // landed (e.g. a delayed receipt, or a revert caused by
-                    // our own earlier attempt advancing the tail).
-                    if let Some(landed) = self.reconcile(epoch, last_tx) {
+            let landing = self
+                .lander
+                .land(epoch..epoch + 1, calldata.clone(), gas_limit);
+            match landing.next {
+                Next::Done => {
+                    if landing.failure.is_some() {
                         self.stats.reconciled += 1;
-                        return Ok(landed);
                     }
+                    return Ok(landing.receipt);
                 }
-                Err(e) => return Err(CoreError::Chain(e)),
-            }
-            if attempt >= self.retry.max_attempts.max(1) {
-                return Err(CoreError::RequestRejected("epoch commit retries exhausted"));
-            }
-            self.stats.retries += 1;
-            self.chain
-                .clock()
-                .sleep(self.retry.backoff_for(attempt).min(Duration::from_secs(60)));
-        }
-    }
-
-    /// Checks whether `epoch` already landed despite a failed attempt;
-    /// recovers its outcome from the receipt when visible, else from the
-    /// contract state alone.
-    fn reconcile(&self, epoch: u64, last_tx: Option<Hash32>) -> Option<Landed> {
-        let tail = self
-            .chain
-            .view(self.contract, &ClusterRoot::get_tail_epoch_calldata())
-            .ok()
-            .and_then(|out| ClusterRoot::decode_u64(&out))?;
-        if tail <= epoch {
-            return None;
-        }
-        let root = self
-            .chain
-            .view(self.contract, &ClusterRoot::get_epoch_root_calldata(epoch))
-            .ok()
-            .and_then(|out| ClusterRoot::decode_root(&out))?;
-        // Prefer the real receipt (it may just have been hidden/delayed).
-        if let Some(receipt) = last_tx.and_then(|tx| self.chain.receipt(tx)) {
-            if receipt.status.is_success() {
-                return Some(Landed {
-                    root,
-                    tx_hash: receipt.tx_hash,
-                    block_number: receipt.block_number,
-                    gas_used: receipt.gas_used,
-                    fee: receipt.fee,
-                });
+                Next::Retry { backoff, .. } => {
+                    self.stats.retries += 1;
+                    self.chain.clock().sleep(backoff);
+                }
+                Next::Abandon => {
+                    return Err(CoreError::RequestRejected("epoch commit retries exhausted"))
+                }
             }
         }
-        Some(Landed {
-            root,
-            tx_hash: last_tx.unwrap_or(Hash32::ZERO),
-            block_number: 0,
-            gas_used: Gas(0),
-            fee: Wei::ZERO,
-        })
     }
 
     /// Builds the [`ClusterProof`] for `(shard, id)` from the newest epoch
@@ -419,15 +358,6 @@ impl EpochCoordinator {
         ClusterRoot::decode_root(&out)
             .ok_or(CoreError::RequestRejected("epoch not committed on-chain"))
     }
-}
-
-/// A landed `Commit-Epoch` outcome.
-struct Landed {
-    root: Hash32,
-    tx_hash: Hash32,
-    block_number: u64,
-    gas_used: Gas,
-    fee: Wei,
 }
 
 /// The shard epoch root: Merkle fold of the reported batch roots, or the

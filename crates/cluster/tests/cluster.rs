@@ -272,6 +272,69 @@ fn chain_fault_bursts_commit_every_epoch_exactly_once() {
     }
 }
 
+/// Regression: a reconciled epoch recorded the *latest* attempt's hash —
+/// one that may have reverted (or still revert) behind an earlier attempt
+/// that landed — and acked the shards with it. A receipt timeout below one
+/// block interval makes attempt 1 time out before it is mined, so later
+/// attempts are sent; the record and every shard's `CommitInfo` must carry
+/// the landing attempt's hash or zero, never a reverted attempt's.
+#[test]
+fn reconciled_epoch_records_the_landing_attempt_never_a_revert() {
+    let block_interval = ChainConfig::default().block_interval;
+    let mut cluster = LocalCluster::start(
+        "landing",
+        ClusterConfig {
+            shards: 2,
+            node: test_node_config(),
+            chain: ChainConfig {
+                receipt_timeout: Duration::from_secs(1),
+                ..ChainConfig::default()
+            },
+            ..Default::default()
+        },
+    )
+    .expect("cluster");
+    assert!(cluster.chain.config().receipt_timeout < block_interval);
+    for round in 0..3 {
+        for shard in 0..cluster.shards() {
+            append_on_shard(&cluster, shard, &format!("landing-pub-{round}"), 8);
+        }
+        cluster.settle(Duration::from_secs(36_000)).expect("settle");
+    }
+    let stats = cluster.coordinator.stats();
+    assert!(
+        stats.retries > 0 && stats.reconciled > 0,
+        "attempt 1 must time out and later attempts be sent: {stats:?}"
+    );
+
+    for record in cluster.coordinator.records() {
+        if record.tx_hash != Hash32::ZERO {
+            let receipt = cluster
+                .chain
+                .receipt(record.tx_hash)
+                .expect("the recorded transaction was mined");
+            assert!(
+                receipt.status.is_success(),
+                "epoch {} recorded a reverted attempt",
+                record.epoch
+            );
+            assert_eq!(
+                ClusterRoot::decode_root(&receipt.output),
+                Some(record.cluster_root),
+                "epoch {} recorded another epoch's transaction",
+                record.epoch
+            );
+        }
+        for (shard, slice) in record.shards.iter().enumerate() {
+            let node = cluster.node(shard).expect("up");
+            for log_id in slice.start..slice.start + slice.roots.len() as u64 {
+                let info = node.commit_info(log_id).expect("epoch-committed");
+                assert_eq!(info.tx_hash, record.tx_hash, "shard {shard} #{log_id}");
+            }
+        }
+    }
+}
+
 #[test]
 fn shard_crash_recovers_from_checkpoint_with_router_failover() {
     let mut cluster = test_cluster("crash", 3);

@@ -11,6 +11,9 @@
 //!   three client roles of §4.2, including stage-2 verification and the
 //!   punishment trigger.
 //! - [`service`] — the DApp-logging-as-a-service deployment glue (§4.5).
+//! - [`lander::Lander`] — exactly-once landing of one write on a
+//!   sequential single-write contract, shared by the stage-2 committer and
+//!   the cluster's epoch coordinator.
 //!
 //! The safety definitions 3.1 and 3.2 are exercised end-to-end by the
 //! workspace integration tests (`tests/` at the repository root).
@@ -22,6 +25,7 @@ pub mod api;
 pub mod client;
 pub mod config;
 pub mod error;
+pub mod lander;
 pub mod node;
 pub mod service;
 pub mod types;

@@ -483,17 +483,14 @@ impl OffchainNode {
         self.shared.replicator.as_ref()
     }
 
-    /// Snapshot of the node's metrics. The store-, pool- and hash-derived
-    /// counters (`fsyncs`, `fsyncs_coalesced`, `oversubscription_avoided`,
-    /// `hashes_computed`, `hash_batches_x4`) are sampled at call time.
+    /// Snapshot of the node's metrics. The store-derived counters
+    /// (`fsyncs`, `fsyncs_coalesced`, `segments_sealed`,
+    /// `gc_deleted_segments`) are sampled at call time.
     pub fn stats(&self) -> NodeStats {
         let mut stats = self.shared.stats.lock().clone();
         let sync = self.shared.store.sync_stats();
         stats.fsyncs = sync.fsyncs;
         stats.fsyncs_coalesced = sync.fsyncs_coalesced;
-        stats.oversubscription_avoided = wedge_pool::oversubscription_avoided();
-        stats.hashes_computed = wedge_crypto::hash::hashes_computed();
-        stats.hash_batches_x4 = wedge_crypto::hash::hash_batches_x4();
         let tier = self.shared.store.tier_stats();
         stats.segments_sealed = tier.segments_sealed;
         stats.gc_deleted_segments = tier.segments_retired;

@@ -11,32 +11,22 @@
 //! The deliver stage rings a one-slot doorbell after each batch
 //! registration, so an idle committer wakes without polling.
 //!
-//! LMT's safety story rests on every flushed position *eventually* reaching
-//! the Root Record, so a failed transaction is never dropped on first
-//! contact. Instead the committer:
-//!
-//! 1. **classifies** the failure — submission error (never reached the
-//!    mempool), on-chain revert, or receipt timeout;
-//! 2. **reconciles** against the contract's on-chain tail — a timed-out
-//!    transaction may well have landed, and those positions are marked
-//!    committed rather than re-sent (the Root Record's single-write
-//!    invariant would reject a duplicate anyway). The same reconcile runs
-//!    once at node start, before any thread spawns;
-//! 3. **retries** what remains with bounded exponential backoff + jitter
-//!    (see [`crate::config::Stage2RetryPolicy`]);
-//! 4. abandons a group — counting `stage2_failed` — only once
-//!    `max_attempts` consecutive attempts failed: `stage2_failed` means
-//!    "retries exhausted", not "first attempt unlucky".
+//! Every group goes to the chain through a [`Lander`]: it classifies a
+//! failed attempt, reconciles against the Root Record's tail (a timed-out
+//! transaction may well have landed, and those positions are marked
+//! committed rather than re-sent), and retries with bounded, jittered
+//! backoff (see [`crate::config::Stage2RetryPolicy`]). A group is abandoned
+//! — counting `stage2_failed` — only once `max_attempts` consecutive
+//! attempts failed: `stage2_failed` means "retries exhausted", not "first
+//! attempt unlucky". The same tail reconcile runs once at node start,
+//! before any thread spawns.
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::Receiver;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use wedge_chain::{ChainError, Gas, Receipt, TxHash};
+use wedge_chain::{Gas, Receipt};
 use wedge_contracts::RootRecord;
 use wedge_crypto::hash::Hash32;
 use wedge_sim::SimInstant;
@@ -45,6 +35,7 @@ use super::snapshot::Snapshot;
 use super::state::CommitInfo;
 use super::Shared;
 use crate::config::NodeBehavior;
+use crate::lander::{Failure, Lander, Next};
 
 /// The next stage-2 group in `snap`: the first run of flushed-but-
 /// uncommitted log positions at or above the committed frontier, restricted
@@ -90,34 +81,17 @@ fn stage2_root_for(behavior: NodeBehavior, log_id: u64, honest_root: Hash32) -> 
     }
 }
 
-/// How one `Update-Records` attempt failed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FailureKind {
-    /// The transaction never entered the mempool.
-    Submission,
-    /// The transaction was mined but reverted.
-    Revert,
-    /// No confirmed receipt within the chain's patience window — the
-    /// transaction may or may not have landed.
-    Timeout,
-}
-
-/// The committer's state: the retry schedule for the head group and the
-/// watermark of abandoned positions. The pending positions themselves live
-/// only in the snapshot.
+/// The committer's state: the lander carrying the head group's retry
+/// schedule, and the watermark of abandoned positions. The pending
+/// positions themselves live only in the snapshot.
 pub(crate) struct Committer {
     shared: Arc<Shared>,
+    lander: Lander,
     /// Positions below this were committed or abandoned after exhausting
     /// their retries; group formation never revisits them.
     abandoned_upto: u64,
-    /// Failed attempts of the current head group.
-    attempt: u32,
-    /// The log id `attempt` refers to; progress at the head resets it.
-    attempt_head: Option<u64>,
     /// Earliest simulated instant the next submission may happen.
     next_due: SimInstant,
-    /// Seeded jitter source (deterministic across runs).
-    rng: SmallRng,
 }
 
 /// Post-group-commit tier maintenance state, shared by the direct stage-2
@@ -198,17 +172,27 @@ impl Committer {
     /// the reconciled state. Everything still pending is picked up from the
     /// snapshot by [`Committer::run`].
     pub(crate) fn recover(shared: Arc<Shared>) -> Committer {
-        let next_due = shared.chain.clock().now();
+        let lander = Lander::new(
+            Arc::clone(&shared.chain),
+            shared.identity.clone(),
+            shared.root_record,
+            RootRecord::get_tail_calldata(),
+            RootRecord::decode_tail,
+            shared.config.stage2_retry,
+            0x5354_4147_4532_5254, // "STAGE2RT"
+        );
         let mut c = Committer {
+            next_due: shared.chain.clock().now(),
             shared,
+            lander,
             abandoned_upto: 0,
-            attempt: 0,
-            attempt_head: None,
-            next_due,
-            rng: SmallRng::seed_from_u64(0x5354_4147_4532_5254), // "STAGE2RT"
         };
         let snap = c.shared.snapshot();
-        c.reconcile_tail(snap.commits.contiguous()..snap.batches.len() as u64, None);
+        let tail = c.lander.tail().unwrap_or(0);
+        c.commit_group(
+            snap.commits.contiguous()..tail.min(snap.batches.len() as u64),
+            None,
+        );
         c
     }
 
@@ -243,20 +227,14 @@ impl Committer {
         pending_range(snap, eligible, self.shared.config.stage2_max_group)
     }
 
-    /// Submits one `Update-Records` transaction for the head group and
-    /// handles the outcome.
+    /// Lands one `Update-Records` attempt for the head group and books the
+    /// outcome: landed positions are committed, the rest is scheduled for
+    /// retry or — after `max_attempts` — abandoned.
     fn attempt_head_group(&mut self) {
         let snap = self.shared.snapshot();
         let group = self.next_group(&snap);
         if group.is_empty() {
             return;
-        }
-        let start_idx = group.start;
-        // Progress at the head (including partial progress from a
-        // reconciled timeout) starts a fresh attempt budget.
-        if self.attempt_head != Some(start_idx) {
-            self.attempt = 0;
-            self.attempt_head = Some(start_idx);
         }
         let behavior = self.shared.config.behavior;
         let roots: Vec<Hash32> = group
@@ -266,46 +244,55 @@ impl Committer {
                 Some(stage2_root_for(behavior, id, batch.tree.root()))
             })
             .collect();
-        let calldata = RootRecord::update_records_calldata(start_idx, &roots);
+        let calldata = RootRecord::update_records_calldata(group.start, &roots);
         // 21k base + calldata + 20k per fresh word + margin.
         let gas_limit = Gas(120_000 + 25_000 * roots.len() as u64);
+        let landing = self.lander.land(group.clone(), calldata, gas_limit);
         {
             let mut stats = self.shared.stats.lock();
             stats.stage2_txs_submitted += 1;
-            if self.attempt > 0 {
+            if landing.retry {
                 stats.stage2_retries += 1;
             }
+            match landing.failure {
+                None => {}
+                Some(Failure::Submission) => stats.stage2_submission_errors += 1,
+                Some(Failure::Revert) => stats.stage2_reverts += 1,
+                Some(Failure::Timeout) => stats.stage2_timeouts += 1,
+            }
         }
-        let submit = self.shared.chain.call_contract(
-            self.shared.identity.secret_key(),
-            self.shared.root_record,
-            wedge_chain::Wei::ZERO,
-            calldata,
-            gas_limit,
-        );
-        let failure = match submit {
-            // A `call_contract` error means the transaction never reached
-            // the mempool — a submission-side failure whatever the cause.
-            Err(_) => (FailureKind::Submission, None),
-            Ok(hash) => match self.shared.chain.wait_for_receipt(hash) {
-                Ok(receipt) if receipt.status.is_success() => {
-                    self.commit_group(group, &receipt, true);
-                    self.next_due = self.shared.chain.clock().now();
-                    return;
-                }
-                Ok(_) => (FailureKind::Revert, Some(hash)),
-                Err(ChainError::ReceiptTimeout(_)) => (FailureKind::Timeout, Some(hash)),
-                Err(_) => (FailureKind::Submission, Some(hash)),
-            },
-        };
-        self.handle_failure(group, failure.0, failure.1);
+        self.commit_group(landing.landed.clone(), landing.receipt.as_ref());
+        let rest = group.end - landing.landed.end;
+        let now = self.shared.chain.clock().now();
+        self.next_due = now;
+        match landing.next {
+            Next::Done => {}
+            Next::Retry { attempt, backoff } => {
+                let mut stats = self.shared.stats.lock();
+                stats.stage2_requeued += rest;
+                stats.record_backoff(attempt);
+                self.next_due = now.add(backoff);
+            }
+            Next::Abandon => {
+                // Retries exhausted: only now does the commitment count as
+                // failed.
+                self.abandoned_upto = group.end;
+                self.shared.stats.lock().stage2_failed += rest;
+            }
+        }
     }
 
     /// Marks every not-yet-committed position of `group` blockchain-
-    /// committed under `receipt`. `charge` controls whether the receipt's
-    /// gas/fee are added to the stats (false for a placeholder receipt).
-    fn commit_group(&mut self, group: Range<u64>, receipt: &Receipt, charge: bool) {
+    /// committed under `receipt`, whose gas and fee go to the stats. With
+    /// no receipt (landed through a transaction the lander cannot see) the
+    /// commitment is recorded without per-tx provenance.
+    fn commit_group(&mut self, group: Range<u64>, receipt: Option<&Receipt>) {
+        if group.is_empty() {
+            return;
+        }
         let committed_at = self.shared.chain.clock().now();
+        let (tx_hash, block_number) =
+            receipt.map_or((Hash32::ZERO, 0), |r| (r.tx_hash, r.block_number));
         // One write-plane mutation (and one published snapshot) for the
         // whole group. Stage-2 latency runs from the batch's registration
         // (or, for a recovered batch, from the restart) to now.
@@ -322,8 +309,8 @@ impl Committer {
                 plane.commits.insert(
                     log_id,
                     CommitInfo {
-                        tx_hash: receipt.tx_hash,
-                        block_number: receipt.block_number,
+                        tx_hash,
+                        block_number,
                         stage2_latency: latency,
                     },
                 );
@@ -337,7 +324,7 @@ impl Committer {
         {
             let mut stats = self.shared.stats.lock();
             stats.stage2_committed += latencies.len() as u64;
-            if charge {
+            if let Some(receipt) = receipt {
                 stats.stage2_gas = stats.stage2_gas.saturating_add(receipt.gas_used);
                 stats.stage2_fees = stats.stage2_fees.saturating_add(receipt.fee);
             }
@@ -350,112 +337,12 @@ impl Committer {
             .lock()
             .after_group_commit(&self.shared);
     }
-
-    /// Reconciles `range` against the Root Record's on-chain tail: the
-    /// positions below it already landed (through a timed-out-but-mined
-    /// transaction, or one sent before a restart) and are marked committed
-    /// instead of being re-sent. Returns the tail.
-    fn reconcile_tail(&mut self, range: Range<u64>, tx_hash: Option<TxHash>) -> u64 {
-        let tail = self.onchain_tail();
-        let landed = range.start..range.end.min(tail);
-        if !landed.is_empty() {
-            // Recover the landing receipt when we know the transaction;
-            // its gas/fee were genuinely paid and belong in the stats.
-            let receipt = tx_hash
-                .and_then(|h| self.shared.chain.receipt(h))
-                .filter(|r| r.status.is_success());
-            match receipt {
-                Some(receipt) => self.commit_group(landed, &receipt, true),
-                // Landed through a transaction we cannot identify
-                // (pre-restart, or a competing submission): record the
-                // commitment without per-tx provenance.
-                None => self.commit_group(landed, &synthetic_receipt(), false),
-            }
-        }
-        tail
-    }
-
-    /// Classifies a failed attempt, reconciles against the on-chain tail
-    /// (a timed-out transaction may have landed), and either schedules the
-    /// remainder for retry with backoff or — after `max_attempts` —
-    /// abandons it.
-    fn handle_failure(&mut self, group: Range<u64>, kind: FailureKind, tx_hash: Option<TxHash>) {
-        {
-            let mut stats = self.shared.stats.lock();
-            match kind {
-                FailureKind::Submission => stats.stage2_submission_errors += 1,
-                FailureKind::Revert => stats.stage2_reverts += 1,
-                FailureKind::Timeout => stats.stage2_timeouts += 1,
-            }
-        }
-        let tail = self.reconcile_tail(group.clone(), tx_hash);
-        let remaining = group.start.max(tail)..group.end;
-        let now = self.shared.chain.clock().now();
-        if remaining.is_empty() {
-            // The whole group landed after all — no retry needed.
-            self.next_due = now;
-            return;
-        }
-        self.attempt = self.attempt.saturating_add(1);
-        let policy = self.shared.config.stage2_retry;
-        if self.attempt >= policy.max_attempts.max(1) {
-            // Retries exhausted: only now does the commitment count as
-            // failed.
-            self.abandoned_upto = remaining.end;
-            self.shared.stats.lock().stage2_failed += remaining.end - remaining.start;
-            self.attempt = 0;
-            self.attempt_head = None;
-            self.next_due = now;
-            return;
-        }
-        let backoff = self.jittered(policy.backoff_for(self.attempt));
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.stage2_requeued += remaining.end - remaining.start;
-            stats.record_backoff(self.attempt);
-        }
-        self.next_due = now.add(backoff);
-    }
-
-    /// The Root Record's current tail index (0 when unreadable).
-    fn onchain_tail(&self) -> u64 {
-        self.shared
-            .chain
-            .view(self.shared.root_record, &RootRecord::get_tail_calldata())
-            .ok()
-            .and_then(|out| RootRecord::decode_tail(&out))
-            .unwrap_or(0)
-    }
-
-    /// Applies the policy's relative jitter to a backoff duration.
-    fn jittered(&mut self, backoff: Duration) -> Duration {
-        let jitter = self.shared.config.stage2_retry.jitter;
-        if jitter <= 0.0 {
-            return backoff;
-        }
-        let jitter = jitter.min(0.95);
-        let factor = 1.0 + self.rng.gen_range(-jitter..=jitter);
-        Duration::from_secs_f64((backoff.as_secs_f64() * factor).max(0.0))
-    }
-}
-
-/// A placeholder receipt for positions that landed through a transaction
-/// the committer cannot identify.
-fn synthetic_receipt() -> Receipt {
-    Receipt {
-        tx_hash: Hash32::ZERO,
-        status: wedge_chain::ExecStatus::Success,
-        gas_used: Gas::ZERO,
-        fee: wedge_chain::Wei::ZERO,
-        block_number: 0,
-        output: Vec::new(),
-        logs: Vec::new(),
-        contract_address: None,
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::node::snapshot::WritePlane;
     use crate::node::state::BatchMeta;

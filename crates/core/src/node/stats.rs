@@ -75,17 +75,6 @@ pub struct NodeStats {
     /// that ran while replica sends were already in flight — the persist
     /// stage's overlap win. 0 when there are no replicas.
     pub replication_overlap_ns: u64,
-    /// Worker threads *not* spawned because the shared pool caps
-    /// parallelism at the machine's core count (process-wide, sampled from
-    /// [`wedge_pool::oversubscription_avoided`] when stats are read).
-    pub oversubscription_avoided: u64,
-    /// Keccak-256 digests computed, all paths (process-wide, sampled from
-    /// [`wedge_crypto::hash::hashes_computed`] when stats are read).
-    pub hashes_computed: u64,
-    /// ×4 lane-interleaved Keccak groups executed — each one produced four
-    /// digests in roughly one permutation's time (process-wide, sampled
-    /// from [`wedge_crypto::hash::hash_batches_x4`] when stats are read).
-    pub hash_batches_x4: u64,
     /// Nanoseconds the persist stage spent building batch Merkle trees
     /// (leaf hashing + level folding) — where digest time goes once
     /// signing is amortized.

@@ -29,7 +29,6 @@ use std::sync::OnceLock;
 
 use super::field::Fe;
 use super::scalar::{wnaf_digits, Scalar};
-use crate::uint::U256;
 
 /// Generator x-coordinate.
 const GX: Fe = Fe::from_be_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
@@ -499,13 +498,6 @@ impl AffineTable {
     }
 }
 
-/// Lazily built odd-multiples table for the generator, used to interleave
-/// the fixed-base half of Strauss–Shamir double multiplications.
-fn gen_wnaf_table() -> &'static AffineTable {
-    static TABLE: OnceLock<AffineTable> = OnceLock::new();
-    TABLE.get_or_init(|| AffineTable::new(&Affine::GENERATOR))
-}
-
 /// Multiplies an arbitrary point by a scalar (GLV split + width-5 wNAF over
 /// a batch-normalized affine odd-multiples table).
 pub fn mul_point(point: &Affine, k: &Scalar) -> Jacobian {
@@ -538,49 +530,6 @@ pub fn mul_double_with_table(a: &Scalar, b: &Scalar, table: &AffineTable) -> Jac
         return table.mul(b);
     }
     table.mul(b).add(&mul_generator(a))
-}
-
-/// Computes `a·G + b·Q` by Strauss–Shamir interleaving **without** the GLV
-/// split: both full-width scalars share one 256-step doubling run. Slower
-/// than [`mul_double_with_table`]; kept as an intermediate differential
-/// baseline between [`reference::mul_double`] and the GLV path.
-pub fn mul_double_strauss(a: &Scalar, b: &Scalar, q: &Affine) -> Jacobian {
-    if q.infinity || b.is_zero() {
-        return mul_generator(a);
-    }
-    let table = AffineTable::new(q);
-    let gt = gen_wnaf_table();
-    let da = wnaf_digits(&U256::from_be_bytes(&a.to_be_bytes()), WNAF_WIDTH);
-    let db = wnaf_digits(&U256::from_be_bytes(&b.to_be_bytes()), WNAF_WIDTH);
-    let len = da.len().max(db.len());
-    let mut acc = Jacobian::INFINITY;
-    for i in (0..len).rev() {
-        acc = acc.double();
-        if let Some(&d) = da.get(i) {
-            if d != 0 {
-                acc = acc.add_affine(&gt.entry(false, d, false));
-            }
-        }
-        if let Some(&d) = db.get(i) {
-            if d != 0 {
-                acc = acc.add_affine(&table.entry(false, d, false));
-            }
-        }
-    }
-    acc
-}
-
-/// Returns the generator order-related helper: x-coordinate of `k*G` as an
-/// integer (used by ECDSA signing for `r`).
-pub fn generator_x(k: &Scalar) -> Option<(Fe, bool, bool)> {
-    let point = mul_generator(k).to_affine();
-    if point.infinity {
-        return None;
-    }
-    // Returns (x, y_is_odd, x_overflows_n) — everything sign/recover need.
-    let x_int = point.x.to_u256();
-    let overflow = x_int >= super::scalar::N;
-    Some((point.x, point.y.is_odd(), overflow))
 }
 
 pub mod reference {
@@ -877,11 +826,6 @@ mod tests {
             for b in &scalars {
                 let expect = reference::mul_double(a, b, &q).to_affine();
                 assert_eq!(mul_double(a, b, &q).to_affine(), expect, "glv {a:?} {b:?}");
-                assert_eq!(
-                    mul_double_strauss(a, b, &q).to_affine(),
-                    expect,
-                    "strauss {a:?} {b:?}"
-                );
             }
         }
     }

@@ -286,15 +286,6 @@ impl MerkleTree {
         })
     }
 
-    /// Generates proofs for every leaf (the stage-1 response fan-out).
-    pub fn prove_all(&self) -> Vec<MerkleProof> {
-        (0..self.leaf_count())
-            // lint: allow(panic) — iterating 0..leaf_count keeps every index
-            // in range by construction
-            .map(|i| self.prove(i).expect("index in range"))
-            .collect()
-    }
-
     /// Read access to a whole level (testing/inspection).
     pub fn level(&self, depth: usize) -> Option<&[Hash32]> {
         self.levels.get(depth).map(|v| v.as_slice())

@@ -199,15 +199,6 @@ impl NodeServer {
         self.shared.counters.snapshot(&self.shared.pool)
     }
 
-    /// Connections shed because every worker pair was busy and the pending
-    /// queue was full.
-    pub fn dropped_connections(&self) -> u64 {
-        self.shared
-            .counters
-            .connections_shed
-            .load(Ordering::Relaxed)
-    }
-
     /// Stops accepting and joins all server threads. Sessions mid-flight
     /// notice the stop flag at their next read-timeout check point.
     pub fn shutdown(&mut self) {

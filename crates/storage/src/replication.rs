@@ -141,18 +141,6 @@ impl Replicator {
         ReplicationHandle { acks }
     }
 
-    /// Ships a batch without waiting for acknowledgements (lazy fan-out).
-    pub fn replicate_async(&self, batch: Vec<Vec<u8>>) {
-        let batch: Batch = Arc::new(batch);
-        for replica in &self.replicas {
-            let (ack_tx, _ack_rx) = bounded(1);
-            let _ = replica.commands.send(Command::Replicate {
-                batch: batch.clone(),
-                ack: ack_tx,
-            });
-        }
-    }
-
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
@@ -211,16 +199,6 @@ mod tests {
             assert_eq!(store.len(), 2);
             assert_eq!(store.read(1).unwrap(), b"r1");
         }
-    }
-
-    #[test]
-    fn async_replication_eventually_lands() {
-        let dir = tempdir("async");
-        let repl = Replicator::spawn(&dir, 1, StoreConfig::default(), Duration::ZERO).unwrap();
-        repl.replicate_async(vec![b"lazy".to_vec()]);
-        drop(repl); // drop joins threads, draining the queue
-        let store = LogStore::open(dir.join("replica-0"), StoreConfig::default()).unwrap();
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
